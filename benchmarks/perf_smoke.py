@@ -183,8 +183,7 @@ def run(scale: int, label: str, trace_path: str | None = None,
     # -- Zipf serving phase (hot keys; cache-enabled when available) ----
     zpf = [keys[i] for i in zipf_indices(n, 4 * n, a=ZIPF_A, seed=11)]
     serving = _engine(cache_size=CACHE_SIZE, **obs_kwargs)
-    serving.tree = eng.tree  # share the built index: no second populate
-    serving.layout = eng.layout
+    serving.layout = eng.layout  # share the built index: no second populate
     t0 = time.perf_counter()
     got = serving.lookup(zpf)
     ops["lookup_zipf"] = _op(time.perf_counter() - t0, len(zpf))

@@ -84,7 +84,7 @@ def _last_log(engine: CuartEngine):
     from repro.cuart.lookup import lookup_batch
     from repro.util.keys import keys_to_matrix
 
-    keys = [k for k, _ in engine.tree.items()][:4096]
+    keys = [k for k, _ in engine.items()][:4096]
     mat, lens = keys_to_matrix(keys, width=32)
     return lookup_batch(engine.layout, mat, lens).log
 

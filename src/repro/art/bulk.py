@@ -15,12 +15,12 @@ a handful of NumPy operations — Python-object cost is paid only once per
 actually-created node.  The result is byte-for-byte the same logical
 tree the incremental path produces (property-tested).
 
-As a by-product the sweep emits a :class:`BulkPlan` — a structural
-snapshot of the freshly built tree as parallel arrays.  The device
-mapper (:class:`repro.cuart.layout.CuartLayout`) consumes a still-fresh
-plan to fill its SoA buffers with batched array writes instead of
-walking the tree node by node; the plan is tied to the exact tree
-version it describes, so any later mutation silently disables it.
+The sweep itself builds no node objects: it emits a :class:`BulkPlan`,
+the tree's structure as parallel arrays.  :func:`bulk_load` is that plan
+plus node construction; the device mapper
+(:class:`repro.cuart.layout.CuartLayout`) fills its SoA buffers from a
+plan with batched array writes, so an index that lives on the device
+never needs the host nodes at all (:func:`plan_from_matrix`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.constants import (
     LINK_N256,
     NIL_VALUE,
 )
-from repro.errors import KeyPrefixError, ReproError
+from repro.errors import KeyEncodingError, KeyPrefixError, ReproError
 from repro.util.keys import encode_key_batch
 
 
@@ -55,7 +55,6 @@ class PlanLevel:
     split: np.ndarray  # (G,) branch column; prefix spans [depth, split)
     fanout: np.ndarray  # (G,)
     type_code: np.ndarray  # (G,) packed-link node type (by fanout)
-    nodes: Optional[np.ndarray]  # (G,) object — the built host nodes
     child_byte: np.ndarray  # (C,) branch byte
     child_parent: np.ndarray  # (C,) owning group index in this level
     child_is_leaf: np.ndarray  # (C,) bool
@@ -65,27 +64,45 @@ class PlanLevel:
 
 @dataclass
 class BulkPlan:
-    """Structural snapshot emitted by :func:`bulk_load`.
+    """The ART of a sorted, distinct, prefix-free key set, as arrays only.
 
-    ``version`` ties the plan to the exact tree state it describes; the
-    device mapper only trusts a plan whose version still matches the
-    tree (any insert/delete after the bulk load invalidates it).
+    Built by :func:`plan_from_matrix` with no host node objects;
+    :func:`bulk_load` turns one into a tree and the device mapper
+    (:class:`repro.cuart.layout.CuartLayout`) into SoA buffers.
+    ``version`` ties a plan left on a tree by :func:`bulk_load` to the
+    tree state it describes (any later mutation invalidates it);
+    free-standing plans keep ``-1``.
     """
 
-    version: int
     mat: np.ndarray  # (n, W) sorted, zero-padded key matrix
     lens: np.ndarray  # (n,) key lengths, sorted-row order
     values: np.ndarray  # (n,) uint64 values, sorted-row order
-    leaf_objs: np.ndarray  # (n,) object — host leaves in sorted order
     levels: list[PlanLevel]
+    version: int = -1
 
     @property
     def n(self) -> int:
         return self.lens.size
 
-    @property
-    def max_key_len(self) -> int:
-        return int(self.lens.max()) if self.lens.size else 0
+    def key(self, row: int) -> bytes:
+        return self.mat[row, : int(self.lens[row])].tobytes()
+
+    def get(self, key: bytes) -> Optional[int]:
+        """Value stored for ``key`` (binary search), or ``None``.  Rows
+        of a prefix-free key set are distinct once zero-padded, so the
+        padded bytes alone order them."""
+        n, W = self.mat.shape
+        if n == 0 or len(key) > W:
+            return None
+        rows = np.ascontiguousarray(self.mat).view(np.dtype((np.void, W)))
+        i = int(np.searchsorted(rows[:, 0], np.void(key.ljust(W, b"\0"))))
+        if i < n and self.key(i) == key:
+            return int(self.values[i])
+        return None
+
+
+def empty_plan() -> BulkPlan:
+    return plan_from_matrix(*concat_rows([]))
 
 
 def bulk_load(
@@ -110,42 +127,92 @@ def bulk_load(
     tree = AdaptiveRadixTree()
     if m == 0:
         return tree
-    AdaptiveRadixTree._check_key(keys_list[0])
-    vals = _checked_values(values_list)
-    mat, lens = encode_key_batch(keys_list)
-
-    # lexicographic sort of the padded rows: memcmp on the padded bytes,
-    # with the length as tiebreak (padded ties are prefix pairs — shorter
-    # first keeps the classic "prefix precedes extension" order)
-    void = np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1])))[:, 0]
-    order = np.argsort(lens, kind="stable")
-    order = order[np.argsort(void[order], kind="stable")]
-    smat = mat[order]
-    slens = lens[order]
-    svals = vals[order]
-    order_l = order.tolist()
-    skeys = list(map(keys_list.__getitem__, order_l))
-    _validate_sorted(smat, slens, skeys)
-
+    plan, order = _plan_rows(*encode_items(keys_list, values_list), False)
+    skeys = list(map(keys_list.__getitem__, order.tolist()))
     leaf_objs = np.fromiter(
-        map(Leaf, skeys, svals.tolist()), dtype=object, count=m
+        map(Leaf, skeys, plan.values.tolist()), dtype=object, count=m
     )
-
-    levels = _sweep_levels(smat, m)
-    _build_nodes(levels, leaf_objs, skeys)
-
-    tree.root = levels[0].nodes[0] if levels else leaf_objs[0]
+    tree.root = _build_nodes(plan.levels, leaf_objs, skeys)
     tree._size = m
     tree._version += 1
-    tree._bulk_plan = BulkPlan(
-        version=tree._version,
-        mat=smat,
-        lens=slens,
-        values=svals,
-        leaf_objs=leaf_objs,
-        levels=levels,
-    )
+    plan.version = tree._version
+    tree._bulk_plan = plan
     return tree
+
+
+def plan_from_matrix(
+    mat: np.ndarray, lens: np.ndarray, values: np.ndarray,
+    *, last_wins: bool = False,
+) -> BulkPlan:
+    """Sort, validate and sweep encoded rows (zero-padded ``mat``,
+    ``lens``, uint64 ``values``, e.g. from :func:`encode_items`) into a
+    plan.  A key that is a proper prefix of another raises
+    :class:`KeyPrefixError`; duplicate keys raise :class:`ReproError`
+    unless ``last_wins``, which keeps the later row (repeated inserts)."""
+    return _plan_rows(mat, lens, values, last_wins)[0]
+
+
+def concat_rows(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack ``(mat, lens, values)`` row sets of any widths into one,
+    zero-padding every matrix to the widest."""
+    parts = list(parts)
+    W = max((m.shape[1] for m, _, _ in parts), default=1)
+    mat = np.zeros((sum(m.shape[0] for m, _, _ in parts), W), dtype=np.uint8)
+    at = 0
+    for m, _, _ in parts:
+        mat[at : at + m.shape[0], : m.shape[1]] = m
+        at += m.shape[0]
+    lens = np.concatenate([np.zeros(0, np.int64), *(p[1] for p in parts)])
+    vals = np.concatenate([np.zeros(0, np.uint64), *(p[2] for p in parts)])
+    return mat, lens.astype(np.int64), vals.astype(np.uint64)
+
+
+def sort_rows(mat: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Stable lexicographic order of zero-padded key rows: memcmp on the
+    padded bytes, length as tiebreak (padded ties are prefix pairs —
+    shorter first keeps the classic "prefix precedes extension" order).
+    Equal keys keep their input order."""
+    void = np.ascontiguousarray(mat).view(np.dtype((np.void, mat.shape[1])))[:, 0]
+    order = np.argsort(lens, kind="stable")
+    return order[np.argsort(void[order], kind="stable")]
+
+
+def encode_items(
+    keys: Sequence[bytes], values: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate and encode pairs into ``(mat, lens, values)`` rows; a bad
+    key or value raises the tree's own :class:`KeyEncodingError`."""
+    if not keys:
+        return concat_rows([])
+    check_key = AdaptiveRadixTree._check_key
+    check_key(keys[0])
+    vals = _checked_values(values)
+    try:
+        mat, lens = encode_key_batch(keys)
+    except KeyEncodingError:
+        for k in keys:  # the canonical per-key error, with context
+            check_key(k)
+        raise
+    return mat, lens, vals
+
+
+def _plan_rows(mat, lens, vals, last_wins: bool):
+    """Sort, validate and sweep; returns the plan and, per plan row, the
+    input row it came from."""
+    order = sort_rows(mat, lens)
+    smat = mat[order]
+    slens = lens[order]
+    dup = _validate_sorted(smat, slens, allow_duplicates=last_wins)
+    if dup is not None:
+        keep = np.append(~dup, True)  # the last of each equal run
+        order = order[keep]
+        smat = smat[keep]
+        slens = slens[keep]
+    plan = BulkPlan(
+        mat=smat, lens=slens, values=vals[order],
+        levels=_sweep_levels(smat, int(slens.size)),
+    )
+    return plan, order
 
 
 def _checked_values(values_list: list) -> np.ndarray:
@@ -165,27 +232,37 @@ def _checked_values(values_list: list) -> np.ndarray:
     return vals
 
 
+def _row_key(smat: np.ndarray, slens: np.ndarray, i: int) -> bytes:
+    return smat[i, : int(slens[i])].tobytes()
+
+
 def _validate_sorted(
-    smat: np.ndarray, slens: np.ndarray, skeys: list
-) -> None:
-    """Reject duplicates and prefix pairs — both are adjacent after the
-    lexicographic sort, so two whole-array comparisons cover the set."""
+    smat: np.ndarray, slens: np.ndarray, *, allow_duplicates: bool
+) -> Optional[np.ndarray]:
+    """Reject prefix pairs (and duplicates unless allowed) — both are
+    adjacent after the lexicographic sort, so two whole-array
+    comparisons cover the set.  Returns the ``(n-1,)`` mask of rows equal
+    to their successor when duplicates are allowed and present."""
     if slens.size < 2:
-        return
+        return None
     W = smat.shape[1]
     pl = slens[:-1]
     agree = (smat[1:] == smat[:-1]) | (np.arange(W)[None, :] >= pl[:, None])
     is_prefix = agree.all(axis=1)
     dup = is_prefix & (slens[1:] == pl)
-    if dup.any():
+    if dup.any() and not allow_duplicates:
         i = int(np.flatnonzero(dup)[0])
-        raise ReproError(f"duplicate key {skeys[i + 1]!r} in bulk load")
+        raise ReproError(
+            f"duplicate key {_row_key(smat, slens, i + 1)!r} in bulk load"
+        )
     pref = is_prefix & (slens[1:] > pl)
     if pref.any():
         i = int(np.flatnonzero(pref)[0])
         raise KeyPrefixError(
-            f"{skeys[i]!r} is a proper prefix of {skeys[i + 1]!r}"
+            f"{_row_key(smat, slens, i)!r} is a proper prefix of "
+            f"{_row_key(smat, slens, i + 1)!r}"
         )
+    return dup if dup.any() else None
 
 
 def _sweep_levels(smat: np.ndarray, m: int) -> list[PlanLevel]:
@@ -245,7 +322,7 @@ def _sweep_levels(smat: np.ndarray, m: int) -> list[PlanLevel]:
         levels.append(
             PlanLevel(
                 lo=los, depth=deps, split=split, fanout=fanout,
-                type_code=tcode, nodes=None, child_byte=child_byte,
+                type_code=tcode, child_byte=child_byte,
                 child_parent=child_parent, child_is_leaf=is_leaf,
                 child_ref=child_ref, child_slot=slot,
             )
@@ -258,9 +335,12 @@ def _sweep_levels(smat: np.ndarray, m: int) -> list[PlanLevel]:
 
 def _build_nodes(
     levels: list[PlanLevel], leaf_objs: np.ndarray, skeys: list
-) -> None:
+):
     """Construct the host node objects bottom-up (children exist before
-    their parent), filling each node's internal arrays directly."""
+    their parent), filling each node's internal arrays directly; returns
+    the root."""
+    if not levels:  # single key: the root is that leaf
+        return leaf_objs[0]
     node_arrays: list = [None] * len(levels)
     for li in range(len(levels) - 1, -1, -1):
         lv = levels[li]
@@ -279,57 +359,17 @@ def _build_nodes(
         cbn = lv.child_byte
         built: list = []
         append = built.append
-        new4, new16 = Node4.__new__, Node16.__new__
         a = 0
-        # bypass __init__ for N4/N16 (the dominant types by far): the
-        # fresh empty lists it builds would be immediately replaced
-        if not (lv.split > lv.depth).any():
-            # no compressed paths anywhere on this level (the common
-            # case for uniform keys): a slimmer loop without the
-            # per-group prefix slicing
-            for t, b in zip(tc_l, ends_l):
-                if t == LINK_N4:
-                    node = new4(Node4)
-                    node.prefix = b""
-                    node.keys = cb[a:b]
-                    node.children = co[a:b]
-                elif t == LINK_N16:
-                    node = new16(Node16)
-                    node.prefix = b""
-                    node.keys = cb[a:b]
-                    node.children = co[a:b]
-                elif t == LINK_N48:
-                    node = Node48(b"")
-                    ci = node.child_index
-                    ch = node.children
-                    for s in range(b - a):
-                        ci[cb[a + s]] = s
-                        ch[s] = co[a + s]
-                    node._count = b - a
-                else:
-                    node = Node256(b"")
-                    ch_arr = np.full(256, None, dtype=object)
-                    ch_arr[cbn[a:b]] = child_objs[a:b]
-                    node.children = ch_arr.tolist()
-                    node._count = b - a
-                append(node)
-                a = b
-            nodes = np.fromiter(built, dtype=object, count=G)
-            lv.nodes = nodes
-            node_arrays[li] = nodes
-            continue
-        lo_l = lv.lo.tolist()
-        dep_l = lv.depth.tolist()
-        spl_l = lv.split.tolist()
-        for lo_g, dep_g, spl_g, t, b in zip(lo_l, dep_l, spl_l, tc_l, ends_l):
+        for lo_g, dep_g, spl_g, t, b in zip(
+            lv.lo.tolist(), lv.depth.tolist(), lv.split.tolist(), tc_l,
+            ends_l,
+        ):
             prefix = skeys[lo_g][dep_g:spl_g] if spl_g > dep_g else b""
-            if t == LINK_N4:
-                node = new4(Node4)
-                node.prefix = prefix
-                node.keys = cb[a:b]
-                node.children = co[a:b]
-            elif t == LINK_N16:
-                node = new16(Node16)
+            if t == LINK_N4 or t == LINK_N16:
+                # bypass __init__ (N4/N16 dominate by far): the fresh
+                # empty lists it builds would be immediately replaced
+                cls = Node4 if t == LINK_N4 else Node16
+                node = cls.__new__(cls)
                 node.prefix = prefix
                 node.keys = cb[a:b]
                 node.children = co[a:b]
@@ -352,6 +392,5 @@ def _build_nodes(
                 node._count = b - a
             append(node)
             a = b
-        nodes = np.fromiter(built, dtype=object, count=G)
-        lv.nodes = nodes
-        node_arrays[li] = nodes
+        node_arrays[li] = np.fromiter(built, dtype=object, count=G)
+    return node_arrays[0][0]

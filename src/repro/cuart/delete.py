@@ -24,6 +24,7 @@ from repro.constants import (
     CUART_NODE_BYTES,
     DEFAULT_UPDATE_HASH_SLOTS,
     LEAF_TYPE_CODES,
+    LINK_DYNLEAF,
     LINK_N4,
     LINK_N16,
     LINK_N48,
@@ -116,6 +117,13 @@ def delete_batch(
     cleared_only = 0
     present_wcodes = np.unique(wcodes) if win_rows.size else wcodes[:0]
     for code in present_wcodes:
+        if code == LINK_DYNLEAF:
+            # dynamic-heap record: blank its value word, the heap's
+            # deletion mark (records are never reused)
+            offs = widx[wcodes == code].astype(np.int64)
+            layout.dyn.heap[offs[:, None] + np.arange(2, 10)[None, :]] = 0xFF
+            log.record(16, offs.size)
+            continue
         if code not in LEAF_TYPE_CODES:
             continue
         sel = wcodes == code
@@ -152,14 +160,22 @@ def delete_batch(
             slot = eq.argmax(axis=1)
             buf.children[rows[hit], slot[hit]] = np.uint64(0)
         elif code == LINK_N48:
+            # free the slot for reuse: the index byte goes back to empty
+            # and the slot leaves the count, so a later insert of any
+            # byte claims it through the ordinary first-free search (a
+            # stale index entry would let two bytes share one slot)
             buf = layout.nodes[LINK_N48]
             rows = pidx[sel]
-            slot = buf.child_index[rows, pbytes[sel]].astype(np.int64)
+            pb = pbytes[sel]
+            slot = buf.child_index[rows, pb].astype(np.int64)
             ok = slot != N48_EMPTY_SLOT
             buf.children[rows[ok], slot[ok]] = np.uint64(0)
+            buf.child_index[rows[ok], pb[ok]] = N48_EMPTY_SLOT
+            np.subtract.at(buf.counts, rows[ok], 1)
         elif code == LINK_N256:
             buf = layout.nodes[LINK_N256]
             buf.children[pidx[sel], pbytes[sel]] = np.uint64(0)
+            np.subtract.at(buf.counts, pidx[sel], 1)
     unlinked = int(have_parent.sum())
     log.record(16, unlinked)  # child-link stores
     cleared_only = int(win_rows.size - unlinked)

@@ -218,6 +218,9 @@ class InsertEngine:
         fl_before = sum(len(v) for v in layout.free_leaves.values())
         dedup_w = dedup_l = leaf_splits = prefix_splits = 0
 
+        def same_key_losers(claims, win, rows):
+            return _same_key_losers(claims, win, rows, keys_mat, key_lens)
+
         # ---- existing keys: winner-resolved value update ---------------
         hit = reasons == MissReason.HIT
         if hit.any():
@@ -265,7 +268,7 @@ class InsertEngine:
             win = table.resolve_winners(claims, thread_ids[claim_rows])
             self._record_table(table)
             dedup_w += int(win.sum())
-            dedup_l += int((~win).sum())
+            dedup_l += same_key_losers(claims, win, claim_rows)
             # losers raced a sibling insert to the same slot: retry later
             deferred[claim_rows[~win]] = True
             # vectorized scatter claims the easy wins in whole-array
@@ -297,7 +300,9 @@ class InsertEngine:
             )
             self._record_table(table)
             dedup_w += int(win.sum())
-            dedup_l += int((~win).sum())
+            dedup_l += same_key_losers(
+                res.stop_links[split_rows], win, split_rows
+            )
             deferred[split_rows[~win]] = True
             wrows = split_rows[win]
             # divergence points for the whole winner set in one byte
@@ -325,7 +330,7 @@ class InsertEngine:
             )
             self._record_table(table)
             dedup_w += int(win.sum())
-            dedup_l += int((~win).sum())
+            dedup_l += same_key_losers(res.stop_links[pf_rows], win, pf_rows)
             deferred[pf_rows[~win]] = True
             wrows = pf_rows[win]
             cpls = self._prefix_split_cpls(
@@ -1029,6 +1034,23 @@ class InsertEngine:
             buf.children[idx, slot] = np.uint64(new_link)
         else:
             buf.children[idx, byte] = np.uint64(new_link)
+
+
+def _same_key_losers(claims, win, rows, keys_mat, key_lens) -> int:
+    """Claim losers whose key equals their claim winner's key.
+
+    Only these are dedup losers (the winning thread owns the key's final
+    value).  A loser with a different key raced a sibling for one slot,
+    leaf or prefix: that is structural, and it is counted as deferred.
+    """
+    if win.all():
+        return 0
+    inv = np.unique(claims, return_inverse=True)[1]
+    winner_of = np.empty(int(inv.max()) + 1, dtype=np.int64)
+    winner_of[inv[win]] = rows[win]
+    w, lo = winner_of[inv[~win]], rows[~win]
+    same = keys_mat[lo] == keys_mat[w]
+    return int(((key_lens[lo] == key_lens[w]) & same.all(axis=1)).sum())
 
 
 def _claim_keys(stop_links: np.ndarray, stop_bytes: np.ndarray) -> np.ndarray:

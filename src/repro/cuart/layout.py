@@ -1,4 +1,4 @@
-"""Mapping the host ART into the CuART struct-of-arrays device layout.
+"""The CuART struct-of-arrays device layout.
 
 Section 3.2.1: "we map the index structure into several buffers instead
 of just one ... one buffer per node type.  [It] allows the implementation
@@ -20,9 +20,14 @@ all inner nodes  ``prefix (n, 15) u8`` stored window, ``prefix_len (n,)``
                  ``values (n,) u64`` — *lexicographically ordered*
 ===============  =========================================================
 
-Leaf ordering falls out of the in-order mapping traversal and is what
-makes range queries "trivial because it is only required to transmit both
-the start and the end index within the leaf arrays".
+A layout is built from a :class:`repro.art.bulk.BulkPlan` — the ART of a
+sorted key set as arrays — either handed over directly (the end-to-end
+engine never builds host nodes) or derived from a host tree.  Leaves are
+written in plan (key) order, which is what makes range queries "trivial
+because it is only required to transmit both the start and the end index
+within the leaf arrays".  Once mapped, the buffers are a complete copy
+of the index: :meth:`CuartLayout.get`, :meth:`CuartLayout.live_rows` and
+:meth:`CuartLayout.verify` read nothing else.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.art.nodes import InnerNode, Leaf, Node4, Node16, Node48, Node256
-from repro.art.stats import leaf_type_for_key
+from repro.art.bulk import BulkPlan, concat_rows, encode_items, plan_from_matrix
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import (
     CUART_MAX_PREFIX,
@@ -41,6 +45,9 @@ from repro.constants import (
     LEAF_CAPACITY,
     LEAF_TYPE_CODES,
     LINK_DYNLEAF,
+    LINK_INDEX_BITS,
+    LINK_INDEX_MASK,
+    LINK_TYPE_NAMES,
     LINK_EMPTY,
     LINK_HOST,
     LINK_LEAF8,
@@ -75,75 +82,6 @@ class LongKeyStrategy(enum.Enum):
     DYNAMIC = "dynamic"
 
 
-class _LazyLeafLinks(dict):
-    """``id(host node) -> packed link`` with deferred bulk-leaf entries.
-
-    A bulk build knows every leaf's link as one vectorized array, but
-    almost no session ever looks a *leaf* link up individually (the
-    RootTable builder only touches nodes near the root).  Instead of
-    eagerly exploding the array into ~n dict entries, the pair is parked
-    and materialized on the first miss; entries written directly after
-    the deferral win over the parked ones.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending = None
-
-    def defer(self, leaf_objs: np.ndarray, links: np.ndarray) -> None:
-        self._pending = (leaf_objs, links)
-
-    def _materialize(self) -> None:
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return
-        leaf_objs, links = pending
-        merged = dict(zip(map(id, leaf_objs.tolist()), links.tolist()))
-        merged.update(self)  # individually recorded links take precedence
-        self.update(merged)
-
-    def __missing__(self, key: int) -> int:
-        if self._pending is None:
-            raise KeyError(key)
-        self._materialize()
-        return self[key]
-
-    def __contains__(self, key) -> bool:
-        if dict.__contains__(self, key):
-            return True
-        if self._pending is None:
-            return False
-        self._materialize()
-        return dict.__contains__(self, key)
-
-    def get(self, key, default=None):
-        if self._pending is not None and not dict.__contains__(self, key):
-            self._materialize()
-        return dict.get(self, key, default)
-
-    def __len__(self) -> int:
-        self._materialize()
-        return dict.__len__(self)
-
-    def __iter__(self):
-        self._materialize()
-        return dict.__iter__(self)
-
-    def keys(self):
-        self._materialize()
-        return dict.keys(self)
-
-    def items(self):
-        self._materialize()
-        return dict.items(self)
-
-    def values(self):
-        self._materialize()
-        return dict.values(self)
-
-
 @dataclass
 class _NodeBuffers:
     """Per-type SoA arrays for one inner-node type."""
@@ -175,24 +113,22 @@ class _DynLeafHeap:
 
     HEADER = 10  # 2-byte length + 8-byte value
 
-    def record_size(self, key_len: int) -> int:
-        return self.HEADER + key_len
-
 
 class CuartLayout:
     """The mapped, device-resident CuART index.
 
-    Build once from a populated host tree (pipeline stage 2 of section
-    4.1); afterwards the kernels in :mod:`repro.cuart.lookup`,
-    :mod:`repro.cuart.update` and :mod:`repro.cuart.delete` operate on the
-    buffers only.  Non-structural mutations (value updates, lazy
-    deletions) happen in place; structural changes require re-mapping —
-    :meth:`check_fresh` guards against using a stale layout.
+    Build once from a :class:`~repro.art.bulk.BulkPlan` or a populated
+    host tree (pipeline stage 2 of section 4.1); afterwards the kernels
+    in :mod:`repro.cuart.lookup`, :mod:`repro.cuart.update`,
+    :mod:`repro.cuart.delete` and :mod:`repro.cuart.insert` operate on
+    the buffers only.  A tree-built layout goes stale when its tree
+    changes structurally, a plan-built one when its owner calls
+    :meth:`invalidate`; :meth:`check_fresh` guards both.
     """
 
     def __init__(
         self,
-        tree: AdaptiveRadixTree,
+        source: AdaptiveRadixTree | BulkPlan,
         *,
         long_keys: LongKeyStrategy = LongKeyStrategy.ERROR,
         single_leaf_size: int | None = None,
@@ -233,8 +169,17 @@ class CuartLayout:
         self.single_leaf_size = single_leaf_size
         self.long_keys = long_keys
         self.spare = spare
-        self._source_version = tree.version
-        self._source = tree
+        if isinstance(source, BulkPlan):
+            plan = source
+            self._source = None
+            self._source_version = 0
+        else:
+            plan = _tree_plan(source)
+            self._source = source
+            self._source_version = source.version
+        #: set by :meth:`invalidate`: the owner's content moved past
+        #: these buffers (a populate awaiting its re-map).
+        self._invalidated = False
         #: device-side mutations (updates/deletes) since mapping.
         self.device_mutations = 0
         #: device-side structural inserts since mapping.
@@ -243,28 +188,22 @@ class CuartLayout:
         #: growth (registered by RootTable).
         self.attached_tables: list = []
 
-        # a fresh bulk-load plan lets the whole build run as batched
-        # array writes; anything it cannot express (stale plan, long
-        # keys) falls back to the generic per-node traversal
-        plan = getattr(tree, "_bulk_plan", None)
-        limit = single_leaf_size or MAX_SHORT_KEY
-        if plan is None or plan.version != tree.version or plan.n == 0 or (
-            plan.max_key_len > limit
-        ):
-            plan = None
-        if plan is not None:
-            counts = _plan_counts(plan, single_leaf_size)
-        else:
-            counts = _count_nodes(tree, long_keys, single_leaf_size)
+        long_rows = _long_rows(plan, single_leaf_size)
+        if long_rows.size and long_keys is LongKeyStrategy.ERROR:
+            klen = int(plan.lens[long_rows[0]])
+            raise KeyTooLongError(
+                f"key of {klen} bytes exceeds the {MAX_SHORT_KEY}-byte "
+                "fixed-leaf maximum and long_keys=ERROR "
+                "(see LongKeyStrategy / repro.host.hybrid)",
+                key_len=klen, max_len=MAX_SHORT_KEY,
+                strategy=long_keys.name,
+            )
+        counts = _plan_counts(plan, single_leaf_size, long_rows, long_keys)
         if spare > 0:
             floor = 8
             for c in NODE_TYPE_CODES + LEAF_TYPE_CODES:
                 counts[c] = counts[c] + max(int(counts[c] * spare), floor)
         self._alloc(counts)
-        #: host-node identity -> packed device link, recorded during the
-        #: mapping pass; consumed by the RootTable builder (section 3.2.2)
-        #: and by tests.
-        self.node_links: dict[int, int] = _LazyLeafLinks()
         #: host-memory leaves for :attr:`LongKeyStrategy.HOST_LINK`.
         self.host_leaves: list[tuple[bytes, int]] = []
         #: free leaf slots per leaf type, filled by device-side deletes
@@ -276,13 +215,10 @@ class CuartLayout:
         self._next_node = {c: 0 for c in NODE_TYPE_CODES}
         self._next_leaf = {c: 0 for c in LEAF_TYPE_CODES}
         self._dyn_cursor = 0
-        #: deepest traversal level (node visits) seen while mapping; used
-        #: by the range-query transaction accounting.
+        #: deepest traversal level (node visits, leaf included); used by
+        #: the range-query transaction accounting.
         self.max_levels = 0
-        if plan is not None:
-            self.root_link = self._build_from_plan(plan)
-        else:
-            self.root_link = self._map(tree)
+        self.root_link = self._build_from_plan(plan, long_rows)
 
     # ------------------------------------------------------------------
     # construction
@@ -330,93 +266,33 @@ class CuartLayout:
             heap=np.zeros(counts.get("dyn_bytes", 0), dtype=np.uint8)
         )
 
-    def _map(self, tree: AdaptiveRadixTree) -> int:
-        """In-order fill via an explicit-stack pre-order DFS; returns the
-        packed root link.
-
-        Children are pushed in reverse byte order so pops visit them
-        ascending — leaves land in their buffers lexicographically
-        sorted, exactly like the original recursive mapping, without the
-        Python recursion depth/overhead.
-        """
-        if tree.root is None:
-            return pack_link(LINK_EMPTY, 0)
-        root_link = 0
-        # stack entries carry the parent cell to patch once the child's
-        # link exists: (node, level, parent_code, parent_row, parent_col)
-        # where parent_col is the child slot (N4/16/48) or byte (N256)
-        stack = [(tree.root, 0, -1, 0, 0)]
-        node_links = self.node_links
-        while stack:
-            node, level, pcode, prow, pcol = stack.pop()
-            if level >= self.max_levels:
-                self.max_levels = level + 1
-            if isinstance(node, Leaf):
-                link = self._map_leaf(node)
-            else:
-                code = node.TYPE
-                idx = self._next_node[code]
-                self._next_node[code] += 1
-                buf = self.nodes[code]
-                p = node.prefix
-                stored = p[: self.prefix_window]
-                buf.prefix[idx, : len(stored)] = np.frombuffer(
-                    stored, dtype=np.uint8
-                )
-                buf.prefix_len[idx] = len(p)
-                buf.counts[idx] = node.num_children
-                children = list(node.children_items())
-                if code in (LINK_N4, LINK_N16):
-                    for slot in range(len(children) - 1, -1, -1):
-                        byte, child = children[slot]
-                        buf.keys[idx, slot] = byte
-                        stack.append((child, level + 1, code, idx, slot))
-                elif code == LINK_N48:
-                    for slot in range(len(children) - 1, -1, -1):
-                        byte, child = children[slot]
-                        buf.child_index[idx, byte] = slot
-                        stack.append((child, level + 1, code, idx, slot))
-                else:  # N256: the child array is byte-addressed
-                    for byte, child in reversed(children):
-                        stack.append((child, level + 1, code, idx, byte))
-                link = pack_link(code, idx)
-            node_links[id(node)] = link
-            if pcode < 0:
-                root_link = link
-            else:
-                self.nodes[pcode].children[prow, pcol] = link
-        return root_link
-
-    def _build_from_plan(self, plan) -> int:
-        """Batched build from a fresh :class:`repro.art.bulk.BulkPlan`.
+    def _build_from_plan(self, plan: BulkPlan, long_rows: np.ndarray) -> int:
+        """Batched build from a :class:`repro.art.bulk.BulkPlan`; returns
+        the packed root link.
 
         Every buffer is filled with whole-array writes: leaves straight
         from the plan's sorted key matrix (per-type cumulative position =
         the in-order index, so the leaf buffers come out lexicographically
         sorted), inner nodes per level and type with fancy-index scatters.
         Node indices are assigned in pre-order — sorting the groups by
-        ``(lo, depth)`` — so the result is byte-identical to :meth:`_map`
-        on the same tree.
+        ``(lo, depth)`` — the order a depth-first mapping of the same
+        tree visits them.  Keys longer than the fixed leaves (the plan's
+        ``long_rows``) go to host memory or the dynamic heap, in key
+        order.
         """
         mat = plan.mat
         lens = plan.lens
         n = plan.n
+        if n == 0:
+            return pack_link(LINK_EMPTY, 0)
         W = mat.shape[1]
         # -- leaves ----------------------------------------------------
-        if self.single_leaf_size is None:
-            lcode = np.where(
-                lens <= 8,
-                LINK_LEAF8,
-                np.where(lens <= 16, LINK_LEAF16, LINK_LEAF32),
-            ).astype(np.uint8)
-        else:
-            forced = {8: LINK_LEAF8, 16: LINK_LEAF16, 32: LINK_LEAF32}[
-                self.single_leaf_size
-            ]
-            lcode = np.full(n, forced, dtype=np.uint8)
+        lcode = _leaf_codes(lens, self.single_leaf_size)
+        fixed = np.ones(n, dtype=bool)
+        fixed[long_rows] = False
         leaf_idx = np.empty(n, dtype=np.int64)
         for code in LEAF_TYPE_CODES:
-            sel = lcode == code
+            sel = fixed & (lcode == code)
             cnt = int(sel.sum())
             leaf_idx[sel] = np.arange(cnt, dtype=np.int64)
             self._next_leaf[code] = cnt
@@ -427,13 +303,9 @@ class CuartLayout:
                 buf.key_lens[:cnt] = lens[sel]
                 buf.values[:cnt] = plan.values[sel]
         leaf_links = pack_links(lcode, leaf_idx)
-        node_links = self.node_links
-        defer = getattr(node_links, "defer", None)
-        if defer is not None:
-            defer(plan.leaf_objs, leaf_links)
-        else:  # plain dict (e.g. a deserialized layout): eager fill
-            node_links.update(
-                zip(map(id, plan.leaf_objs.tolist()), leaf_links.tolist())
+        for row in long_rows.tolist():
+            leaf_links[row] = self._map_long_leaf(
+                plan.key(row), int(plan.values[row])
             )
         levels = plan.levels
         if not levels:  # single-key tree: the root is that leaf
@@ -497,67 +369,48 @@ class CuartLayout:
                     buf.children[prow, cslot] = clink[csel]
                 else:  # N256
                     buf.children[prow, cbyte] = clink[csel]
-            node_links.update(
-                zip(map(id, lv.nodes.tolist()), level_links[li].tolist())
-            )
         self.max_levels = len(levels) + 1
         return int(level_links[0][0])
 
-    def _map_leaf(self, leaf: Leaf) -> int:
-        klen = len(leaf.key)
-        limit = self.single_leaf_size or MAX_SHORT_KEY
-        if klen > limit:
-            if self.long_keys is LongKeyStrategy.ERROR:
-                raise KeyTooLongError(
-                    f"key of {klen} bytes exceeds the {MAX_SHORT_KEY}-byte "
-                    "fixed-leaf maximum and long_keys=ERROR "
-                    "(see LongKeyStrategy / repro.host.hybrid)",
-                    key_len=klen, max_len=MAX_SHORT_KEY,
-                    strategy=self.long_keys.name,
-                )
-            if self.long_keys is LongKeyStrategy.HOST_LINK:
-                self.host_leaves.append((leaf.key, leaf.value))
-                return pack_link(LINK_HOST, len(self.host_leaves) - 1)
-            return self._map_dyn_leaf(leaf)
-        code = _classify_leaf(klen, self.single_leaf_size)
-        idx = self._next_leaf[code]
-        self._next_leaf[code] += 1
-        buf = self.leaves[code]
-        buf.keys[idx, :klen] = np.frombuffer(leaf.key, dtype=np.uint8)
-        buf.key_lens[idx] = klen
-        buf.values[idx] = leaf.value
-        return pack_link(code, idx)
-
-    def _map_dyn_leaf(self, leaf: Leaf) -> int:
+    def _map_long_leaf(self, key: bytes, value: int) -> int:
+        """A key beyond the fixed leaves: host memory (strategy (b)) or
+        a ``[len u16][value u64][key]`` record on the dynamic heap (c)."""
+        if self.long_keys is LongKeyStrategy.HOST_LINK:
+            self.host_leaves.append((key, value))
+            return pack_link(LINK_HOST, len(self.host_leaves) - 1)
         off = self._dyn_cursor
-        rec = self.dyn.record_size(len(leaf.key))
-        heap = self.dyn.heap
-        heap[off : off + 2] = np.frombuffer(
-            len(leaf.key).to_bytes(2, "little"), dtype=np.uint8
-        )
-        heap[off + 2 : off + 10] = np.frombuffer(
-            int(leaf.value).to_bytes(8, "little"), dtype=np.uint8
-        )
-        heap[off + 10 : off + 10 + len(leaf.key)] = np.frombuffer(
-            leaf.key, dtype=np.uint8
-        )
+        rec = len(key).to_bytes(2, "little") + value.to_bytes(8, "little") + key
+        self.dyn.heap[off : off + len(rec)] = np.frombuffer(rec, np.uint8)
         self.dyn.offsets.append(off)
-        self._dyn_cursor += rec
+        self._dyn_cursor += len(rec)
         return pack_link(LINK_DYNLEAF, off)
 
     # ------------------------------------------------------------------
     # bookkeeping / accounting
     # ------------------------------------------------------------------
     def check_fresh(self) -> None:
-        """Raise :class:`StaleLayoutError` if the host tree structurally
-        changed after this layout was mapped."""
-        if self._source.version != self._source_version:
+        """Raise :class:`StaleLayoutError` if the source tree changed
+        structurally after this layout was mapped, or its owner called
+        :meth:`invalidate`."""
+        if self._invalidated:
+            raise StaleLayoutError(
+                "index content changed since mapping; re-map the layout "
+                "(call map_to_device)"
+            )
+        if self._source is not None and (
+            self._source.version != self._source_version
+        ):
             raise StaleLayoutError(
                 "host tree changed since mapping; re-map the layout "
                 "(structural inserts cannot be reflected in-place)",
                 mapped_version=self._source_version,
                 tree_version=self._source.version,
             )
+
+    def invalidate(self) -> None:
+        """Declare these buffers behind their owner's content: every
+        kernel then raises :class:`StaleLayoutError` until a re-map."""
+        self._invalidated = True
 
     # ------------------------------------------------------------------
     # device-side allocation (insert engine, §5.1 buffer management)
@@ -685,12 +538,13 @@ class CuartLayout:
             del self._range_key_cache
 
     def mark_synced(self) -> None:
-        """Declare the host tree and this layout content-equivalent again.
+        """Declare the source tree and this layout content-equivalent
+        again.
 
-        The end-to-end engine mirrors every device-side insert, update
-        and delete into the host tree; the mirrored host mutations bump
-        the tree version, which :meth:`check_fresh` would otherwise
-        reject.  Only call when both sides index the same key set.
+        An owner that mirrors device-side writes into the source tree
+        (:class:`repro.cuart.partition.PartitionedIndex`) bumps the tree
+        version, which :meth:`check_fresh` would otherwise reject.  Only
+        call when both sides index the same key set.
         """
         self._source_version = self._source.version
 
@@ -734,6 +588,200 @@ class CuartLayout:
         engine's hash table as the conflict-resolution key)."""
         return pack_link(code, index)
 
+    # ------------------------------------------------------------------
+    # reading the content back (the layout is the index's only copy)
+    # ------------------------------------------------------------------
+    def get(self, key: bytes) -> int | None:
+        """Scalar exact lookup: one thread of the lookup kernel, walked on
+        the host over the same buffers (optimistic prefixes, full-key
+        compare at the leaf).  ``None`` for a miss."""
+        link = int(self.root_link)
+        depth = 0
+        klen = len(key)
+        window = self.prefix_window
+        nodes = self.nodes
+        while True:
+            code = link >> LINK_INDEX_BITS
+            idx = link & LINK_INDEX_MASK
+            if LINK_N4 <= code <= LINK_N256:
+                buf = nodes[code]
+                plen = buf.prefix_len.item(idx)
+                if plen:
+                    seen = plen if plen < window else window
+                    if buf.prefix[idx, :seen].tobytes() != (
+                        key[depth : depth + seen]
+                    ):
+                        return None
+                    depth += plen
+                if depth >= klen:
+                    return None
+                byte = key[depth]
+                depth += 1
+                if code == LINK_N48:
+                    slot = buf.child_index.item(idx, byte)
+                    if slot == N48_EMPTY_SLOT:
+                        return None
+                    link = buf.children.item(idx, slot)
+                elif code == LINK_N256:
+                    link = buf.children.item(idx, byte)
+                else:
+                    slot = buf.keys[idx].tobytes().find(
+                        _BYTES[byte], 0, buf.counts.item(idx)
+                    )
+                    if slot < 0:
+                        return None
+                    link = buf.children.item(idx, slot)
+                if not link:
+                    return None
+            elif code in LEAF_CAPACITY:
+                buf = self.leaves[code]
+                if buf.key_lens.item(idx) != klen or (
+                    buf.keys[idx, :klen].tobytes() != key
+                ):
+                    return None
+                value = buf.values.item(idx)
+                return None if value == NIL_VALUE else value
+            elif code == LINK_HOST:
+                hk, hv = self.host_leaves[idx]
+                return hv if hk == key else None
+            elif code == LINK_DYNLEAF:
+                stored, value = self._dyn_record(idx)
+                return value if stored == key and value != NIL_VALUE else None
+            else:
+                return None
+
+    def resolve_host(self, host_refs: np.ndarray, keys) -> dict:
+        """CPU half of a lookup on :attr:`LongKeyStrategy.HOST_LINK`
+        leaves: ``{row: value or None}`` for the rows whose traversal
+        ended at a host link."""
+        out = {}
+        for i in np.flatnonzero(host_refs >= 0).tolist():
+            hk, hv = self.host_leaves[int(host_refs[i])]
+            out[i] = hv if hk == keys[i] else None
+        return out
+
+    def _dyn_record(self, off: int) -> tuple[bytes, int]:
+        heap = self.dyn.heap
+        klen = int(heap[off]) | (int(heap[off + 1]) << 8)
+        value = int.from_bytes(heap[off + 2 : off + 10].tobytes(), "little")
+        return heap[off + 10 : off + 10 + klen].tobytes(), value
+
+    def live_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored ``(key, value)`` as ``(mat, lens, values)`` rows in
+        buffer order: fixed-leaf rows with ``key_len > 0`` (deletes and
+        free-list pushes zero the length), live dynamic-heap records and
+        host leaves."""
+        parts = []
+        for code in LEAF_TYPE_CODES:
+            buf = self.leaves[code]
+            live = np.flatnonzero(buf.key_lens > 0)
+            parts.append((buf.keys[live], buf.key_lens[live], buf.values[live]))
+        extra = [self._dyn_record(off) for off in self.dyn.offsets]
+        extra = [(k, v) for k, v in extra if v != NIL_VALUE]
+        extra += self.host_leaves
+        parts.append(encode_items([k for k, _ in extra], [v for _, v in extra]))
+        return concat_rows(parts)
+
+    def children(self, link: int) -> list[tuple[int, int]]:
+        """Linked ``(byte, child link)`` pairs of one mapped inner node,
+        as the lookup kernel sees them (cleared links skipped)."""
+        code, idx = link >> LINK_INDEX_BITS, link & LINK_INDEX_MASK
+        buf = self.nodes[code]
+        kids = buf.children[idx].tolist()
+        if code == LINK_N256:
+            pairs = enumerate(kids)
+        elif code == LINK_N48:
+            ci = buf.child_index[idx]
+            pairs = ((b, kids[ci[b]]) for b in
+                     np.flatnonzero(ci != N48_EMPTY_SLOT).tolist())
+        else:
+            pairs = zip(buf.keys[idx].tolist(), kids[: buf.counts[idx]])
+        return [(b, c) for b, c in pairs if c]
+
+    def verify(self) -> list[str]:
+        """Structural self-check of the buffers alone; returns the list of
+        problems found (empty when sound).
+
+        * every reachable node and leaf is reached exactly once, and each
+          reachable leaf is a live row (or one a root-table-dispatched
+          delete cleared in place, parent link left standing);
+        * every live row is reachable, and a lookup of its key hits;
+        * N4/N16 hold distinct key bytes and no link beyond ``counts``;
+          N48 ``child_index`` and ``children`` agree one-to-one; N48 and
+          N256 ``counts`` equal their linked children;
+        * free-list rows are unreachable and cleared.
+        """
+        problems: list[str] = []
+        seen: set = set()
+        stack = [int(self.root_link)] if self.root_link else []
+        while stack:
+            link = stack.pop()
+            code, idx = link >> LINK_INDEX_BITS, link & LINK_INDEX_MASK
+            name = f"{LINK_TYPE_NAMES.get(code, code)}[{idx}]"
+            if link in seen:
+                problems.append(f"{name} reached twice")
+                continue
+            seen.add(link)
+            if code in NODE_TYPE_CODES + LEAF_TYPE_CODES and (
+                idx >= self.node_count(code)
+            ):
+                problems.append(f"dangling link to {name}")
+            elif code in NODE_TYPE_CODES:
+                bad = self._node_problem(code, idx)
+                if bad:
+                    problems.append(f"{name}: {bad}")
+                stack.extend(c for _, c in self.children(link))
+        for code in NODE_TYPE_CODES:
+            buf = self.nodes[code]
+            for idx in self.free_nodes[code]:
+                if pack_link(code, idx) in seen or buf.counts[idx] or (
+                    buf.children[idx].any()
+                ):
+                    problems.append(f"free {LINK_TYPE_NAMES[code]}[{idx}] "
+                                    "reachable or not cleared")
+        for code in LEAF_TYPE_CODES:
+            buf = self.leaves[code]
+            name = LINK_TYPE_NAMES[code]
+            free = self.free_leaves[code]
+            live = buf.key_lens > 0
+            cleared = ~live & (buf.values == np.uint64(NIL_VALUE))
+            if len(set(free)) != len(free) or not cleared[free].all():
+                problems.append(f"{name} free list repeats or holds a "
+                                "live row")
+            reached = np.zeros(live.size, dtype=bool)
+            reached[[ln & LINK_INDEX_MASK for ln in seen
+                     if ln >> LINK_INDEX_BITS == code]] = True
+            if (reached[free].any() or (reached & ~live & ~cleared).any()
+                    or (live & ~reached).any()):
+                problems.append(f"{name} rows reachable but free or never "
+                                "written, or live but unreachable")
+        mat, lens, _ = self.live_rows()
+        if lens.size and not problems:
+            from repro.cuart.lookup import lookup_batch
+
+            res = lookup_batch(self, mat, lens)
+            if (~res.hits & (res.host_refs < 0)).any():
+                problems.append("a live key does not look up")
+        return problems
+
+    def _node_problem(self, code: int, idx: int) -> str | None:
+        buf = self.nodes[code]
+        cnt = int(buf.counts[idx])
+        kids = buf.children[idx]
+        if code in (LINK_N4, LINK_N16):
+            if kids[cnt:].any() or len(set(buf.keys[idx, :cnt].tolist())) != cnt:
+                return f"counts={cnt} misses a link or repeats a key byte"
+            return None
+        linked = int(np.count_nonzero(kids))
+        if code == LINK_N48:
+            ci = buf.child_index[idx]
+            slots = ci[ci != N48_EMPTY_SLOT].astype(np.int64)
+            if (slots.max(initial=0) >= 48 or slots.size != linked
+                    or np.unique(slots).size != linked
+                    or not kids[np.minimum(slots, 47)].all()):
+                return "child_index disagrees with children"
+        return None if cnt == linked else f"counts={cnt} but {linked} linked"
+
     # convenience accessors used by kernels -----------------------------
     @property
     def n4(self) -> _NodeBuffers:
@@ -752,65 +800,65 @@ class CuartLayout:
         return self.nodes[LINK_N256]
 
 
-def _classify_leaf(key_len: int, single_leaf_size: int | None) -> int:
-    """Leaf type for ``key_len``, honoring the single-leaf ablation."""
-    if single_leaf_size is None:
-        return leaf_type_for_key(key_len)
-    if key_len > single_leaf_size:
-        raise KeyTooLongError(
-            f"key length {key_len} exceeds the forced single leaf size "
-            f"{single_leaf_size}"
+#: one-byte ``bytes`` per value, for the scalar walk's key search.
+_BYTES = [bytes((b,)) for b in range(256)]
+
+
+def _tree_plan(tree: AdaptiveRadixTree) -> BulkPlan:
+    """The plan of ``tree``: the one :func:`~repro.art.bulk.bulk_load`
+    left on it while still fresh, else one built from its items (the ART
+    of a key set is unique — node type by fanout, full path compression
+    — so both describe the same structure).  Cached on the tree until
+    its next mutation."""
+    plan = tree._bulk_plan
+    if plan is None or plan.version != tree.version:
+        items = list(tree.items())
+        plan = plan_from_matrix(
+            *encode_items([k for k, _ in items], [v for _, v in items])
         )
-    return {8: LINK_LEAF8, 16: LINK_LEAF16, 32: LINK_LEAF32}[single_leaf_size]
+        plan.version = tree.version
+        tree._bulk_plan = plan
+    return plan
 
 
-def _count_nodes(
-    tree: AdaptiveRadixTree,
+def _leaf_codes(lens: np.ndarray, single_leaf_size: int | None) -> np.ndarray:
+    """Fixed-leaf type per key length (8/16/32), or the forced single
+    size of the ablation."""
+    if single_leaf_size is not None:
+        lens = np.full(lens.size, single_leaf_size)
+    return np.where(
+        lens <= 8, LINK_LEAF8, np.where(lens <= 16, LINK_LEAF16, LINK_LEAF32)
+    ).astype(np.uint8)
+
+
+def _long_rows(plan: BulkPlan, single_leaf_size: int | None) -> np.ndarray:
+    """Plan rows whose key exceeds the fixed leaves, in key order."""
+    return np.flatnonzero(plan.lens > (single_leaf_size or MAX_SHORT_KEY))
+
+
+def _plan_counts(
+    plan: BulkPlan,
+    single_leaf_size: int | None,
+    long_rows: np.ndarray,
     long_keys: LongKeyStrategy,
-    single_leaf_size: int | None = None,
 ) -> dict:
-    """Pre-pass: how many records of each type the buffers need."""
-    counts: dict = {c: 0 for c in NODE_TYPE_CODES + LEAF_TYPE_CODES}
-    counts["dyn_bytes"] = 0
-    limit = single_leaf_size or MAX_SHORT_KEY
-    stack = [tree.root] if tree.root is not None else []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            klen = len(node.key)
-            if klen > limit:
-                if long_keys is LongKeyStrategy.DYNAMIC:
-                    counts["dyn_bytes"] += _DynLeafHeap.HEADER + klen
-                # HOST_LINK needs no device space; ERROR raises at map time
-                continue
-            counts[_classify_leaf(klen, single_leaf_size)] += 1
-        else:
-            assert isinstance(node, InnerNode)
-            counts[node.TYPE] += 1
-            stack.extend(child for _, child in node.children_items())
-    return counts
-
-
-def _plan_counts(plan, single_leaf_size: int | None) -> dict:
-    """Per-type record counts straight from a bulk plan's arrays (the
-    vectorized equivalent of the :func:`_count_nodes` pre-pass; the plan
-    never carries long keys, so the dyn heap stays empty)."""
+    """Per-type record counts straight from a plan's arrays."""
     counts: dict = {c: 0 for c in NODE_TYPE_CODES + LEAF_TYPE_CODES}
     counts["dyn_bytes"] = 0
     for lv in plan.levels:
         bc = np.bincount(lv.type_code, minlength=8)
         for c in NODE_TYPE_CODES:
             counts[c] += int(bc[c])
-    lens = plan.lens
-    if single_leaf_size is None:
-        counts[LINK_LEAF8] += int((lens <= 8).sum())
-        counts[LINK_LEAF16] += int(((lens > 8) & (lens <= 16)).sum())
-        counts[LINK_LEAF32] += int((lens > 16).sum())
-    else:
-        forced = {8: LINK_LEAF8, 16: LINK_LEAF16, 32: LINK_LEAF32}[
-            single_leaf_size
-        ]
-        counts[forced] += plan.n
+    bc = np.bincount(
+        _leaf_codes(np.delete(plan.lens, long_rows), single_leaf_size),
+        minlength=8,
+    )
+    for c in LEAF_TYPE_CODES:
+        counts[c] = int(bc[c])
+    if long_keys is LongKeyStrategy.DYNAMIC:
+        counts["dyn_bytes"] = int(
+            (_DynLeafHeap.HEADER + plan.lens[long_rows]).sum()
+        )
     return counts
 
 

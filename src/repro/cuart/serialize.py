@@ -6,9 +6,9 @@ dominates startup.  Persisting the flat buffers sidesteps it: the arrays
 are already contiguous and typed, so a saved layout loads as a plain
 ``np.load`` plus bookkeeping — no tree walk.
 
-A loaded layout carries no host tree (there is nothing to re-map from);
-it serves lookups, range queries, updates, deletes and device-side
-inserts, but structural re-mapping requires re-populating a tree.
+A loaded layout is complete: it serves lookups, range queries, updates,
+deletes and device-side inserts, and it re-maps from its own live leaves
+like any other layout (:meth:`repro.cuart.layout.CuartLayout.live_rows`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.art.tree import AdaptiveRadixTree
+from repro.art.bulk import empty_plan
 from repro.constants import LEAF_TYPE_CODES, NODE_TYPE_CODES
 from repro.cuart.layout import CuartLayout, LongKeyStrategy
 from repro.errors import ReproError
@@ -72,9 +72,7 @@ def save_layout(layout: CuartLayout, path: str | Path) -> None:
 def load_layout(path: str | Path) -> CuartLayout:
     """Reconstruct a layout saved by :func:`save_layout`.
 
-    The returned layout is bound to an empty placeholder tree; it is
-    immediately queryable and device-mutable, but a host re-map needs
-    fresh population.
+    The returned layout is immediately queryable and device-mutable.
     """
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
@@ -83,21 +81,14 @@ def load_layout(path: str | Path) -> CuartLayout:
                 f"unsupported layout format {meta.get('format')!r}; "
                 f"this build reads version {FORMAT_VERSION}"
             )
-        from repro.cuart.layout import _record_bytes
-
-        layout = CuartLayout.__new__(CuartLayout)
-        layout.long_keys = LongKeyStrategy(meta["long_keys"])
-        layout.single_leaf_size = meta["single_leaf_size"]
-        layout.prefix_window = int(meta.get("prefix_window", 15))
-        layout.node_record_bytes = _record_bytes(layout.prefix_window)
-        layout.spare = 0.0
-        placeholder = AdaptiveRadixTree()
-        layout._source = placeholder
-        layout._source_version = placeholder.version
-        layout.device_mutations = 0
-        layout.device_inserts = 0
-        layout.attached_tables = []
-        layout.node_links = {}
+        # an empty mapping supplies the bookkeeping; the saved buffers
+        # and allocation state replace its (empty) ones below
+        layout = CuartLayout(
+            empty_plan(),
+            long_keys=LongKeyStrategy(meta["long_keys"]),
+            single_leaf_size=meta["single_leaf_size"],
+            prefix_window=int(meta.get("prefix_window", 15)),
+        )
         layout.max_levels = int(meta["max_levels"])
         layout.root_link = int(meta["root_link"])
         layout._next_node = {c: meta["next_node"][str(c)] for c in NODE_TYPE_CODES}
@@ -138,32 +129,5 @@ def load_layout(path: str | Path) -> CuartLayout:
         layout.dyn = _DynLeafHeap(
             heap=data["dyn_heap"].copy(), offsets=list(meta["dyn_offsets"])
         )
+        layout._dyn_cursor = layout.dyn.heap.size
     return layout
-
-
-def iter_layout_items(layout: CuartLayout):
-    """Yield every live ``(key, value)`` pair stored in a layout's
-    buffers — fixed leaves, dynamic leaves and host-memory leaves.
-
-    This is how an engine reconstructs its authoritative host tree from
-    a loaded layout (the buffers carry complete keys, so no side channel
-    is needed).
-    """
-    from repro.constants import NIL_VALUE
-
-    for code in LEAF_TYPE_CODES:
-        buf = layout.leaves[code]
-        live = layout._next_leaf.get(code, buf.keys.shape[0])
-        for i in range(live):
-            klen = int(buf.key_lens[i])
-            v = int(buf.values[i])
-            if klen == 0 or v == NIL_VALUE:
-                continue  # unallocated spare row or lazily deleted
-            yield buf.keys[i, :klen].tobytes(), v
-    heap = layout.dyn.heap
-    for off in layout.dyn.offsets:
-        klen = int(heap[off]) | (int(heap[off + 1]) << 8)
-        v = int.from_bytes(bytes(heap[off + 2 : off + 10]), "little")
-        if v != NIL_VALUE:
-            yield bytes(heap[off + 10 : off + 10 + klen]), v
-    yield from layout.host_leaves

@@ -1,8 +1,13 @@
 """End-to-end engines — the public facade of the reproduction.
 
 A :class:`CuartEngine` (or the baseline :class:`GrtEngine`) executes the
-paper's three benchmark stages (section 4.1): it populates a host ART,
-maps it into the device layout, and then serves batched queries.  Every
+paper's three benchmark stages (section 4.1): it populates the index,
+maps it into the device layout, and then serves batched queries.  The
+CuART engine keeps no host tree: populate builds the node-free bulk
+plan (:func:`repro.art.bulk.plan_from_matrix`), mapping turns it into
+the device buffers, and from then on those buffers are the only copy of
+the index — membership probes, degraded CPU serving and re-maps all
+read them.  Every
 query batch runs the *real* vectorized kernels (results are exact) while
 its transaction log flows through the simulated device's cost model and
 the host pipeline model, producing the end-to-end throughput estimates
@@ -36,7 +41,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.art.bulk import bulk_load
+from repro.art.bulk import (
+    BulkPlan,
+    bulk_load,
+    concat_rows,
+    encode_items,
+    plan_from_matrix,
+    sort_rows,
+)
 from repro.art.tree import AdaptiveRadixTree
 from repro.constants import (
     LEAF_TYPE_CODES,
@@ -125,6 +137,11 @@ class EngineReport:
         )
 
 
+#: below this many keys :meth:`CuartEngine.peek` walks the buffers per
+#: key instead of paying one batched CPU lookup's fixed cost.
+_PEEK_BATCH_MIN = 32
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(int(n) - 1, 0).bit_length()
 
@@ -152,7 +169,6 @@ class _EngineBase:
         self.batch_size = config.batch_size
         self.host_threads = config.host_threads
         self.api = api
-        self._tree = AdaptiveRadixTree()
         self.cost_model = CostModel(config.device)
         self.last_report: Optional[EngineReport] = None
         #: shared observability surface (repro.obs): pass one registry /
@@ -223,86 +239,26 @@ class _EngineBase:
         d = getattr(self, "_dispatcher", None)
         return d.health if d is not None else None
 
-    @property
-    def tree(self) -> AdaptiveRadixTree:
-        """The authoritative host ART.  Reading it flushes any deferred
-        mirror writes (see :meth:`_sync_host_tree`), so external readers
-        always observe the device's state."""
-        self._sync_host_tree()
-        return self._tree
-
-    @tree.setter
-    def tree(self, tree: AdaptiveRadixTree) -> None:
-        self._tree = tree
-
-    def _sync_host_tree(self) -> None:
-        """Hook: engines that defer host-tree mirroring flush it here."""
-
-    def contains(self, key: bytes) -> bool:
-        """Membership against the engine's authoritative content.
-
-        Cheap by design — it must not materialize deferred state, so the
-        mixed executor's store-to-load forwarding can probe it per
-        conflicting op (engines with a mirror overlay consult it first).
-        """
-        return self._tree.search(key) is not None
-
     def publish_tree_stats(self):
-        """Walk the host tree and publish its shape (node/leaf
-        populations, prefix-length histogram, depth) into the metrics
-        registry as ``art_*`` gauges.  O(tree) — call at snapshot time,
-        not per batch.  Returns the :class:`~repro.art.stats.TreeStats`.
-        """
+        """Publish the index's ART shape (node/leaf populations,
+        prefix-length histogram, depth) into the metrics registry as
+        ``art_*`` gauges, computed from :meth:`items` when called.
+        O(index) — call at snapshot time, not per batch.  Returns the
+        :class:`~repro.art.stats.TreeStats`."""
         from repro.art.stats import collect_stats, publish_stats
 
-        stats = collect_stats(self.tree.root)
+        items = self.items()
+        tree = bulk_load([k for k, _ in items], [v for _, v in items])
+        stats = collect_stats(tree.root)
         publish_stats(self.metrics, stats)
         return stats
 
-    # -- stage 1: populate ------------------------------------------------
     def populate(self, items: Iterable[tuple[bytes, int]]) -> None:
-        """Insert ``(key, value)`` pairs into the host ART (stage 1).
-
-        Populating an empty engine takes the vectorized bottom-up
-        bulk-load path (:func:`repro.art.bulk.bulk_load`, duplicate keys
-        collapsed last-wins like repeated inserts); anything it cannot
-        express (non-empty tree, prefix-overlapping keys, exotic inputs)
-        falls back to per-item root-to-leaf inserts.
-        """
+        """Add ``(key, value)`` pairs to the index (stage 1); duplicate
+        keys collapse last-wins, like repeated inserts."""
         items = list(items)
         with self._timed_op("populate", len(items)):
             self._populate(items)
-
-    def _populate(self, items: list) -> None:
-        if items and len(self.tree) == 0 and getattr(self, "layout", None) is None:
-            dedup = None
-            try:
-                # common case first: distinct keys need no dedup pass
-                self.tree = bulk_load(
-                    [k for k, _ in items], [v for _, v in items]
-                )
-                return
-            except ReproError:
-                # duplicate keys (collapsed last-wins, like repeated
-                # inserts) — or an input only the incremental path can
-                # reject with its canonical error
-                try:
-                    dedup = dict(items)
-                except (TypeError, ValueError):
-                    dedup = None
-            except (TypeError, ValueError):
-                pass  # malformed pairs: the insert loop raises canonically
-            if dedup is not None and len(dedup) < len(items):
-                try:
-                    self.tree = bulk_load(list(dedup), list(dedup.values()))
-                    return
-                except ReproError:
-                    pass  # incremental path reproduces the per-item error
-        for k, v in items:
-            self.tree.insert(k, v)
-
-    def __len__(self) -> int:
-        return len(self.tree)
 
     # -- shared batching ---------------------------------------------------
     def _coalesce_stream(self, keys: Sequence[bytes]):
@@ -312,9 +268,12 @@ class _EngineBase:
         every batched operation (lookup, update, insert, delete, for both
         engines) dispatches through.
         """
+        mat, lens = self._encode(keys)
+        return coalesce_encoded(mat, lens, self.batch_size), mat.shape[1]
+
+    def _encode(self, keys: Sequence[bytes]):
         with self.tracer.span("encode", {"n": len(keys)}):
-            mat, lens = keys_to_matrix(keys)
-            return coalesce_encoded(mat, lens, self.batch_size), mat.shape[1]
+            return keys_to_matrix(keys)
 
     # -- async dispatch ----------------------------------------------------
     def submit(self, kind: str, payloads: Sequence) -> BatchResult:
@@ -463,8 +422,11 @@ class CuartEngine(_EngineBase):
             )
             if config.resilience is not None else None
         )
-        #: device buffers are behind the host tree (degraded writes went
-        #: to the CPU path); re-map as soon as the device is healthy.
+        #: content not yet on the device: a populate awaiting
+        #: map_to_device (the layout, if any, is invalidated meanwhile).
+        self._plan: Optional[BulkPlan] = None
+        #: degraded writes ran on the host-resident buffers while the
+        #: device was unreachable; re-map as soon as it is healthy.
         self._needs_remap = False
         self._init_buffer_gauges()
 
@@ -506,69 +468,109 @@ class CuartEngine(_EngineBase):
         )
         # kernel engines are layout-bound; cached so repeated update /
         # insert / delete calls reuse one conflict hash table instead of
-        # re-allocating it per call (see AtomicMaxHashTable.reset)
-        self._updater: Optional[UpdateEngine] = None
-        self._inserter: Optional[InsertEngine] = None
+        # re-allocating it per call (see AtomicMaxHashTable.reset).  Keyed
+        # by (class, host): host=True engines run without the fault
+        # injector, on the host-resident buffers (degraded serving).
+        self._kernels: dict = {}
         self._delete_table = None
-        #: deferred host-tree mirror: key -> value (None = delete).  The
-        #: device buffers are mutated immediately; the host-tree mirror
-        #: of update/delete batches is an order-preserving dict overlay
-        #: flushed on the next structural operation or external read —
-        #: per-key ``tree.insert`` mirroring used to dominate the whole
-        #: update path (~90% of wall time).
-        self._mirror_pending: dict = {}
 
-    def _sync_host_tree(self) -> None:
-        """Flush the deferred update/delete mirror into the host tree.
-
-        Dict semantics (one surviving value per key, insertion order)
-        match the serial mirror exactly: within the overlay the last
-        write to a key wins, and cross-key order is irrelevant to the
-        resulting tree content."""
-        pending = self._mirror_pending
-        if not pending:
+    # -- stage 1: populate / content -----------------------------------------
+    def _populate(self, items: list) -> None:
+        """Validate, encode and plan the pairs — merged over the current
+        content, the new pairs winning — without building host nodes.
+        A mapped layout is invalidated until :meth:`map_to_device`."""
+        if not items:
             return
-        self._mirror_pending = {}
-        tree = self._tree
-        for k, v in pending.items():
-            if v is None:
-                tree.delete(k)
-            else:
-                tree.insert(k, v)
+        rows = encode_items([k for k, _ in items], [v for _, v in items])
+        self._plan = plan_from_matrix(
+            *concat_rows([self._content_rows(), rows]), last_wins=True
+        )
         if self.layout is not None:
-            self.layout.mark_synced()
+            self.layout.invalidate()
+
+    def _content_rows(self):
+        """The index content as ``(mat, lens, values)`` rows."""
+        if self._plan is not None:
+            p = self._plan
+            return p.mat, p.lens, p.values
+        if self.layout is not None:
+            return self.layout.live_rows()
+        return concat_rows([])
+
+    def __len__(self) -> int:
+        return int(self._content_rows()[1].size)
+
+    def items(self) -> list[tuple[bytes, int]]:
+        """Every live ``(key, value)`` pair in key order, read from the
+        device layout (or from a populate still awaiting its map)."""
+        mat, lens, values = self._content_rows()
+        order = sort_rows(mat, lens).tolist()
+        lens_l = lens.tolist()
+        vals_l = values.tolist()
+        return [(mat[i, : lens_l[i]].tobytes(), vals_l[i]) for i in order]
 
     def contains(self, key: bytes) -> bool:
-        """Membership without flushing the deferred mirror: the overlay
-        is consulted first (a pending ``None`` is a deletion), then the
-        raw host tree."""
-        pending = self._mirror_pending
-        if key in pending:
-            return pending[key] is not None
-        return self._tree.search(key) is not None
+        """Membership of one key against the index content — cheap
+        enough for the executors' per-key store-to-load forwarding
+        probes: a scalar walk of the flat layout (see :meth:`peek`)."""
+        if self._plan is not None:
+            return self._plan.get(key) is not None
+        return self.layout is not None and self.layout.get(key) is not None
+
+    def peek(self, keys: Sequence[bytes]) -> list[Optional[int]]:
+        """Values of ``keys`` (``None`` for a miss) read on the host from
+        the flat layout: no device batch is dispatched or reported.
+
+        A few keys walk the buffers one by one
+        (:meth:`repro.cuart.layout.CuartLayout.get`); more run one
+        :func:`cpu_lookup_flat` pass, whose fixed cost a handful of
+        scalar walks undercut."""
+        if self._plan is not None:
+            return [self._plan.get(k) for k in keys]
+        layout = self.layout
+        if layout is None:
+            return [None] * len(keys)
+        if len(keys) < _PEEK_BATCH_MIN:
+            return [layout.get(k) for k in keys]
+        res = cpu_lookup_flat(layout, *keys_to_matrix(keys))
+        return values_to_list(
+            res.values, layout.resolve_host(res.host_refs, keys)
+        )
 
     # -- stage 2: map -------------------------------------------------------
-    def _map_once(self) -> CuartLayout:
-        """One mapping pass: build the device layout from the host tree
-        (flushing the mirror first) and charge its allocation against
-        the fault injector."""
+    def _next_plan(self) -> BulkPlan:
+        """What the next mapping builds: the pending populate, else the
+        live content of the current layout."""
+        if self._plan is not None:
+            return self._plan
+        return plan_from_matrix(*self._content_rows())
+
+    def _map_once(
+        self, plan: Optional[BulkPlan] = None, *, guard: bool = True
+    ) -> CuartLayout:
+        """One mapping pass: build the device layout from ``plan`` (by
+        default :meth:`_next_plan`) and charge its allocation against the
+        fault injector (``guard=False``: a host-side build while the
+        device is unreachable)."""
         layout = CuartLayout(
-            self.tree, long_keys=self.long_keys, spare=self.spare
+            self._next_plan() if plan is None else plan,
+            long_keys=self.long_keys, spare=self.spare,
         )
-        allocation_guard(
-            layout.device_bytes(), "mapped layout",
-            injector=self._injector, op="map",
-        )
+        if guard:
+            allocation_guard(
+                layout.device_bytes(), "mapped layout",
+                injector=self._injector, op="map",
+            )
         return layout
 
     def _adopt_layout(self, layout: CuartLayout) -> None:
         self.layout = layout
+        self._plan = None
         if self.root_table_depth is not None:
             self.root_table = RootTable(layout, k=self.root_table_depth)
         else:
             self.root_table = None
-        self._updater = None
-        self._inserter = None
+        self._kernels = {}
         self._needs_remap = False
         self.layout_epoch += 1
         self._g_layout_epoch.set(self.layout_epoch)
@@ -577,19 +579,22 @@ class CuartEngine(_EngineBase):
         self._refresh_device_gauges()
 
     def map_to_device(self) -> None:
-        """Map the populated host tree into the device buffers (stage 2),
+        """Map the index content into fresh device buffers (stage 2),
         rebuilding the compacted root table if configured.
 
         With resilience configured, transient allocation faults are
         retried; mapping never degrades (there is no CPU fallback for
         not having device buffers)."""
-        with self.tracer.span("engine.map_to_device", {"keys": len(self)}):
+        self._map(self._next_plan())
+
+    def _map(self, plan: BulkPlan) -> None:
+        with self.tracer.span("engine.map_to_device", {"keys": plan.n}):
             if self._dispatcher is not None:
                 layout, _ = self._dispatcher.run(
-                    "map", self._map_once, degrade=False
+                    "map", lambda: self._map_once(plan), degrade=False
                 )
             else:
-                layout = self._map_once()
+                layout = self._map_once(plan)
             self._adopt_layout(layout)
 
     def _refresh_device_gauges(self) -> None:
@@ -649,8 +654,7 @@ class CuartEngine(_EngineBase):
                 if new_slots > self._dispatcher.policy.max_hash_slots:
                     return False
                 self.hash_slots = new_slots
-                self._updater = None
-                self._inserter = None
+                self._kernels = {}
                 self._delete_table = None
                 self._m_growths.labels(buffer="hash-table").inc()
                 self._m_recoveries.labels(kind="hash-grow").inc()
@@ -712,68 +716,75 @@ class CuartEngine(_EngineBase):
         return disp.run(op, guarded, recover=self._recover)
 
     # -- degraded (CPU) serving ----------------------------------------------
-    def _batch_key(self, batch: QueryBatch, i: int) -> bytes:
-        return batch.keys_mat[i, : int(batch.key_lens[i])].tobytes()
+    def _host_layout(self) -> CuartLayout:
+        """The layout the CPU path serves from: a populate still waiting
+        for its map is built host-side first (the device catches up on
+        recovery)."""
+        if self._plan is not None:
+            self._adopt_layout(self._map_once(guard=False))
+            self._needs_remap = True
+        return self.layout
 
-    def _cpu_lookup_rows(self, batch: QueryBatch):
-        """Serve one lookup batch on the CPU: through the flat layout
-        when it is content-fresh (:func:`cpu_lookup_flat`), else against
-        the authoritative host tree.  Returns ``(values, overrides)``
-        with batch-local override positions."""
-        layout = self.layout
-        if layout is not None and not self._needs_remap:
+    def _degraded(self, op: str, kernel, batch: QueryBatch):
+        """Run one write batch's kernel on the host-resident buffers, with
+        no fault injector: the layout stays the only copy of the index,
+        and the device re-maps from it once healthy."""
+        self._dispatcher.note_degraded(op)
+        self._host_layout()
+        self._needs_remap = True
+        return kernel(batch, True)
+
+    def _tracking(self, n: int):
+        """Per-row ``(attempts, degraded)`` vectors; both None without a
+        resilience policy (the lazy-status fast path)."""
+        if self._dispatcher is None:
+            return None, None
+        return np.ones(n, dtype=np.int32), np.zeros(n, dtype=bool)
+
+    @staticmethod
+    def _status(found, attempts, degraded):
+        if attempts is None:
+            return None
+        return status_codes(found, attempts=attempts, degraded=degraded)
+
+    def _write_batches(
+        self, op: str, kernel, batches, logs, attempts, degraded,
+        value_bytes: int,
+    ):
+        """Dispatch write batches under the resilience policy, yielding
+        ``(batch, result, on_device)`` with logs, attempts and degraded
+        flags booked.  Capacity pressure the growth recovery could not
+        absorb halves a batch (fewer distinct keys contend for the
+        conflict table) down to single rows, which degrade; a degraded
+        batch runs ``kernel`` on the host-resident buffers."""
+        disp = self._dispatcher
+        queue = deque(batches)
+        while queue:
+            batch = queue.popleft()
             try:
-                layout.check_fresh()
-            except StaleLayoutError:
-                pass
+                res, att = self._device_batch(
+                    op, lambda b=batch: kernel(b), n=batch.size,
+                    h2d_bytes=batch.keys_mat.nbytes
+                    + value_bytes * batch.size,
+                )
+            except HashTableFullError:
+                if disp is None:
+                    raise
+                if batch.size > 1:
+                    queue.extendleft(reversed(split_batch(batch)))
+                    continue
+                if not disp.policy.allow_degrade:
+                    raise
+                res, att = None, 0
+            on_device = res is not None
+            if on_device:
+                logs.append(res.log)
             else:
-                res = cpu_lookup_flat(layout, batch.keys_mat, batch.key_lens)
-                overrides: dict[int, Optional[int]] = {}
-                if layout.host_leaves:
-                    for i in np.flatnonzero(res.host_refs >= 0):
-                        hk, hv = layout.host_leaves[int(res.host_refs[i])]
-                        key = self._batch_key(batch, int(i))
-                        overrides[int(i)] = hv if hk == key else None
-                return res.values, overrides
-        tree = self.tree
-        values = np.full(batch.size, np.uint64(NIL_VALUE), dtype=np.uint64)
-        overrides = {}
-        for i in range(batch.size):
-            v = tree.search(self._batch_key(batch, i))
-            if v is not None:
-                overrides[i] = v
-        return values, overrides
-
-    def _degraded_update_rows(self, batch: QueryBatch, values, found) -> None:
-        """Apply one update batch directly to the host tree (CPU path).
-
-        Reading ``self.tree`` flushes the pending mirror first, so
-        earlier device writes land before these rows.  The device is now
-        behind: flag the re-map."""
-        tree = self.tree
-        cache = self.cache
-        for i in range(batch.size):
-            key = self._batch_key(batch, i)
-            pos = int(batch.origin[i])
-            if tree.search(key) is not None:
-                val = int(values[pos])
-                tree.insert(key, val)
-                found[pos] = True
-                if cache is not None:
-                    cache.update_if_cached(key, val)
-        self._needs_remap = True
-
-    def _degraded_delete_rows(self, batch: QueryBatch, deleted) -> None:
-        """Apply one delete batch directly to the host tree (CPU path)."""
-        tree = self.tree
-        cache = self.cache
-        for i in range(batch.size):
-            key = self._batch_key(batch, i)
-            if tree.delete(key):
-                deleted[int(batch.origin[i])] = True
-                if cache is not None:
-                    cache.update_if_cached(key, None)
-        self._needs_remap = True
+                res = self._degraded(op, kernel, batch)
+                degraded[batch.origin] = True
+            if attempts is not None:
+                attempts[batch.origin] = att
+            yield batch, res, on_device
 
     # -- stage 3: queries ----------------------------------------------------
     def _lookup_dispatch(self, keys: Sequence[bytes], encoded=None):
@@ -793,10 +804,7 @@ class CuartEngine(_EngineBase):
         refs = np.full(len(keys), -1, dtype=np.int64)
         # attempt/degraded tracking only exists under a resilience policy;
         # the fast path returns None vectors (BatchResult defaults apply)
-        track = self._dispatcher is not None
-        attempts = np.ones(len(keys), dtype=np.int32) if track else None
-        degraded = np.zeros(len(keys), dtype=bool) if track else None
-        overrides: dict[int, Optional[int]] = {}
+        attempts, degraded = self._tracking(len(keys))
         logs = []
         n_dev_batches = 0
         for batch in batches:
@@ -811,27 +819,23 @@ class CuartEngine(_EngineBase):
                 "lookup", call, n=batch.size, h2d_bytes=batch.keys_mat.nbytes
             )
             if res is None:
+                # degraded: the same kernel on the CPU, over the flat
+                # layout (§4.2 — it is the better CPU structure too)
                 self._dispatcher.note_degraded("lookup")
-                vals, ovr = self._cpu_lookup_rows(batch)
-                values[batch.origin] = vals
-                for p, v in ovr.items():
-                    overrides[int(batch.origin[p])] = v
+                res = cpu_lookup_flat(
+                    self._host_layout(), batch.keys_mat, batch.key_lens
+                )
                 degraded[batch.origin] = True
-                attempts[batch.origin] = att
-                continue
-            logs.append(res.log)
-            n_dev_batches += 1
+            else:
+                logs.append(res.log)
+                n_dev_batches += 1
             values[batch.origin] = res.values
             refs[batch.origin] = res.host_refs
-            if track:
+            if attempts is not None:
                 attempts[batch.origin] = att
-        layout = self.layout
-        if layout.host_leaves:
-            # long keys stored via HOST_LINK: the CPU resolves the
-            # device's host-leaf signals (rare rows only)
-            for i in np.flatnonzero(refs >= 0):
-                hk, hv = layout.host_leaves[int(refs[i])]
-                overrides[int(i)] = hv if hk == keys[int(i)] else None
+        # long keys stored via HOST_LINK: the CPU resolves the host-leaf
+        # signals (rare rows only)
+        overrides = self.layout.resolve_host(refs, keys)
         return values, overrides, n_dev_batches, width, logs, attempts, degraded
 
     def lookup(self, keys: Sequence[bytes]) -> BatchResult:
@@ -938,27 +942,18 @@ class CuartEngine(_EngineBase):
             degraded_u[inverse] if track else None,
         )
 
-    def _get_updater(self) -> UpdateEngine:
-        """The layout-bound update engine, rebuilt after a re-map or a
-        hash-table growth (both null the cached instance)."""
-        engine = self._updater
+    def _write_engine(self, cls, host: bool = False):
+        """The layout-bound :class:`UpdateEngine` / :class:`InsertEngine`,
+        rebuilt after a re-map or a hash-table growth (both drop the
+        cache).  ``host`` selects the injector-free degraded copy."""
         layout = self.layout
+        engine = self._kernels.get((cls, host))
         if engine is None or engine.layout is not layout:
-            engine = self._updater = UpdateEngine(
+            engine = self._kernels[(cls, host)] = cls(
                 layout, root_table=self.root_table,
                 hash_slots=self.hash_slots, hash_table=self.hash_table,
-                metrics=self.metrics, injector=self._injector,
-            )
-        return engine
-
-    def _get_inserter(self) -> InsertEngine:
-        engine = self._inserter
-        layout = self.layout
-        if engine is None or engine.layout is not layout:
-            engine = self._inserter = InsertEngine(
-                layout, root_table=self.root_table,
-                hash_slots=self.hash_slots, hash_table=self.hash_table,
-                metrics=self.metrics, injector=self._injector,
+                metrics=self.metrics,
+                injector=None if host else self._injector,
             )
         return engine
 
@@ -967,8 +962,7 @@ class CuartEngine(_EngineBase):
         flags and carries per-query :class:`OpStatus` codes.
 
         Within a batch, later items win conflicts on the same key (the
-        paper's thread-index priority).  The host tree mirrors every
-        applied value so a future re-map cannot resurrect stale data.
+        paper's thread-index priority).
         """
         items = list(items) if not isinstance(items, (list, tuple)) else items
         with self._timed_op("update", len(items)):
@@ -982,92 +976,46 @@ class CuartEngine(_EngineBase):
         )
         batches, width = self._coalesce_stream(keys)
         found = np.zeros(len(items), dtype=bool)
-        track = self._dispatcher is not None
-        attempts = np.ones(len(items), dtype=np.int32) if track else None
-        degraded = np.zeros(len(items), dtype=bool) if track else None
-        logs = []
-        n_dev_batches = 0
-        queue = deque(batches)
-        while queue:
-            batch = queue.popleft()
-            def call(b=batch):
-                return self._get_updater().apply(
-                    b.keys_mat, b.key_lens, values[b.origin]
-                )
-            try:
-                res, att = self._device_batch(
-                    "update", call, n=batch.size,
-                    h2d_bytes=batch.keys_mat.nbytes + 8 * batch.size,
-                )
-            except HashTableFullError:
-                # genuine capacity pressure the growth recovery could not
-                # absorb (cap reached): halve the dispatch so fewer
-                # distinct keys contend for the table
-                if self._dispatcher is None:
-                    raise
-                if batch.size > 1:
-                    queue.extendleft(reversed(split_batch(batch)))
-                    continue
-                if not self._dispatcher.policy.allow_degrade:
-                    raise
-                res, att = None, 0
-            if res is None:
-                self._dispatcher.note_degraded("update")
-                self._degraded_update_rows(batch, values, found)
-                degraded[batch.origin] = True
-                attempts[batch.origin] = att
-                continue
-            logs.append(res.log)
-            n_dev_batches += 1
+        attempts, degraded = self._tracking(len(items))
+        logs: list = []
+
+        def kernel(b, host=False):
+            return self._write_engine(UpdateEngine, host).apply(
+                b.keys_mat, b.key_lens, values[b.origin]
+            )
+
+        for batch, res, _ in self._write_batches(
+            "update", kernel, batches, logs, attempts, degraded, 8
+        ):
             found[batch.origin] = res.found
-            if track:
-                attempts[batch.origin] = att
-        any_degraded = track and bool(degraded.any())
-        # mirror into the deferred overlay (dict insertion order ==
-        # thread order, so last-writer-wins is preserved); the host tree
-        # itself is only touched when something actually reads it.
-        # Degraded rows already hit the tree directly and must not be
-        # re-applied through the overlay.
-        pending = self._mirror_pending
         cache = self.cache
-        if cache is None and not any_degraded and bool(found.all()):
-            pending.update(items)
-        else:
-            deg_list = degraded.tolist() if track else ((False,) * len(items))
-            for pos, ((k, v), hit) in enumerate(zip(items, found.tolist())):
-                if hit and not deg_list[pos]:
-                    pending[k] = v
-                    if cache is not None:
-                        cache.update_if_cached(k, v)
-        if not any_degraded:
-            self.layout.mark_synced()
-        self._report("update", len(items), n_dev_batches, logs, width)
+        if cache is not None:
+            for (k, v), hit in zip(items, found.tolist()):
+                if hit:
+                    cache.update_if_cached(k, v)
+        self._report("update", len(items), len(logs), logs, width)
         self._refresh_device_gauges()
-        status = (
-            status_codes(found, attempts=attempts, degraded=degraded)
-            if track else None
-        )
         return BatchResult(
-            "update", found=found, status=status, attempts=attempts
+            "update", found=found, attempts=attempts,
+            status=self._status(found, attempts, degraded),
         )
 
-    def insert(
-        self, items: Sequence[tuple[bytes, int]], *, remap_on_defer: bool = True
-    ) -> BatchResult:
+    def insert(self, items: Sequence[tuple[bytes, int]]) -> BatchResult:
         """Batched inserts: device-side where the buffers allow it
         (section 5.1 path via :class:`repro.cuart.insert.InsertEngine`),
-        host re-map for the structurally hard remainder.
+        a re-map for the structurally hard remainder.
 
         The result's :attr:`BatchResult.summary` carries
         ``{"device_inserted", "updated", "deferred", "remapped"}``.
         With resilience configured, capacity-exhausted buffers are grown
         in place and only the deferred rows are re-dispatched before
-        falling back to a re-map.  All items land in the host tree
-        either way, so the engine's content stays authoritative.
+        falling back to a re-map.  The re-map builds from the layout's
+        live leaves overlaid with every item of the call (the last item
+        per key wins), so no item is lost whichever rows deferred.
         """
         items = list(items) if not isinstance(items, (list, tuple)) else items
         with self._timed_op("insert", len(items)):
-            return self._insert(items, remap_on_defer=remap_on_defer)
+            return self._insert(items)
 
     def _grow_for_pressure(self) -> bool:
         """Capacity-pressure recovery: grow every exhausted device
@@ -1103,50 +1051,34 @@ class CuartEngine(_EngineBase):
                 self._m_recoveries.labels(kind="buffer-grow").inc()
         return grew
 
-    def _insert(self, items, *, remap_on_defer: bool) -> BatchResult:
+    def _insert(self, items) -> BatchResult:
         self._require_layout()
         keys = list(map(itemgetter(0), items))
         values = np.fromiter(
             map(itemgetter(1), items), dtype=np.uint64, count=len(items)
         )
-        batches, width = self._coalesce_stream(keys)
-        logs = []
+        mat, lens = self._encode(keys)
+        width = mat.shape[1]
+        logs: list = []
         n_ins = n_upd = 0
-        n_dev_batches = 0
         disp = self._dispatcher
-        track = disp is not None
-        attempts = np.ones(len(items), dtype=np.int32) if track else None
-        degraded = np.zeros(len(items), dtype=bool) if track else None
+        attempts, degraded = self._tracking(len(items))
         def_mask = np.zeros(len(items), dtype=bool)
-        for batch in batches:
-            def call(b=batch):
-                return self._get_inserter().apply(
-                    b.keys_mat, b.key_lens, values[b.origin]
-                )
-            try:
-                res, att = self._device_batch(
-                    "insert", call, n=batch.size,
-                    h2d_bytes=batch.keys_mat.nbytes + 8 * batch.size,
-                )
-            except HashTableFullError:
-                if disp is None or not disp.policy.allow_degrade:
-                    raise
-                res, att = None, 0
-            if track:
-                attempts[batch.origin] = att
-            if res is None:
-                # the host tree covers the content below; the device
-                # just misses these keys until the re-map
-                disp.note_degraded("insert")
-                degraded[batch.origin] = True
-                def_mask[batch.origin] = True
-                continue
-            logs.append(res.log)
-            n_dev_batches += 1
+
+        def kernel(b, host=False):
+            return self._write_engine(InsertEngine, host).apply(
+                b.keys_mat, b.key_lens, values[b.origin]
+            )
+
+        for batch, res, on_device in self._write_batches(
+            "insert", kernel, coalesce_encoded(mat, lens, self.batch_size),
+            logs, attempts, degraded, 8,
+        ):
             n_ins += res.n_inserted
             n_upd += res.n_updated
             def_mask[batch.origin] = res.deferred
-            if res.n_deferred and disp is not None and self._grow_for_pressure():
+            if on_device and res.n_deferred and disp is not None \
+                    and self._grow_for_pressure():
                 # partial replay: only the deferred rows re-dispatch
                 # against the grown buffers (dedup winners et al. stay)
                 rows = np.flatnonzero(res.deferred)
@@ -1155,59 +1087,44 @@ class CuartEngine(_EngineBase):
                     key_lens=batch.key_lens[rows],
                     origin=batch.origin[rows],
                 )
-                def replay(b=sub):
-                    return self._get_inserter().apply(
-                        b.keys_mat, b.key_lens, values[b.origin]
-                    )
-                try:
-                    res2, att2 = self._device_batch(
-                        "insert", replay, n=sub.size,
-                        h2d_bytes=sub.keys_mat.nbytes + 8 * sub.size,
-                    )
-                except HashTableFullError:
-                    res2, att2 = None, 0
-                if res2 is None:
-                    disp.note_degraded("insert")
-                    degraded[sub.origin] = True
-                else:
-                    logs.append(res2.log)
-                    n_dev_batches += 1
+                prior = attempts[sub.origin]
+                for b2, res2, _ in self._write_batches(
+                    "insert", kernel, [sub], logs, attempts, degraded, 8
+                ):
                     n_ins += res2.n_inserted
                     n_upd += res2.n_updated
-                    attempts[sub.origin] += att2
-                    def_mask[sub.origin] = res2.deferred
-        # the host tree mirrors everything (duplicates: last one wins,
-        # matching the device's thread-priority rule); reading .tree
-        # flushes pending update/delete mirrors first, preserving order
-        tree = self.tree
+                    def_mask[b2.origin] = res2.deferred
+                attempts[sub.origin] += prior
         cache = self.cache
-        for k, v in items:
-            tree.insert(k, v)
-            if cache is not None:
+        if cache is not None:
+            for k in keys:
                 # deferred rows are invisible to the kernels until the
                 # re-map, so refresh from the device on next lookup
                 cache.invalidate(k)
         n_def = int(def_mask.sum())
         remapped = False
-        if n_def and remap_on_defer:
+        if n_def:
+            # the re-map's content: live leaves overlaid with every item
+            # of this call — not only the deferred rows, since a
+            # same-key duplicate's loser is deferred too and the last
+            # item must still win
+            plan = plan_from_matrix(
+                *concat_rows([self.layout.live_rows(), (mat, lens, values)]),
+                last_wins=True,
+            )
             if disp is not None and not disp.health.healthy:
-                self._needs_remap = True  # catch up once the device heals
-            else:
-                self.map_to_device()
-                remapped = True
-        else:
-            self.layout.mark_synced()
-            if track and bool(degraded.any()):
+                # device unreachable: build on the host, upload on recovery
+                self._adopt_layout(self._map_once(plan, guard=False))
                 self._needs_remap = True
-        self._report("insert", len(items), max(n_dev_batches, 1), logs, width)
+            else:
+                self._map(plan)
+                remapped = True
+        self._report("insert", len(items), max(len(logs), 1), logs, width)
         self._refresh_device_gauges()
         found = np.ones(len(items), dtype=bool)
-        status = (
-            status_codes(found, attempts=attempts, degraded=degraded)
-            if track else None
-        )
         return BatchResult(
-            "insert", found=found, status=status, attempts=attempts,
+            "insert", found=found, attempts=attempts,
+            status=self._status(found, attempts, degraded),
             summary={
                 "device_inserted": n_ins,
                 "updated": n_upd,
@@ -1218,10 +1135,7 @@ class CuartEngine(_EngineBase):
 
     def delete(self, keys: Sequence[bytes]) -> BatchResult:
         """Batched device-side deletions (section 3.3); the result lists
-        deleted flags and carries per-query :class:`OpStatus` codes.
-
-        Mirrored into the host tree so a future re-map cannot resurrect
-        the deleted keys."""
+        deleted flags and carries per-query :class:`OpStatus` codes."""
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         with self._timed_op("delete", len(keys)):
@@ -1231,81 +1145,47 @@ class CuartEngine(_EngineBase):
         self._require_layout()
         batches, width = self._coalesce_stream(keys)
         deleted = np.zeros(len(keys), dtype=bool)
-        track = self._dispatcher is not None
-        attempts = np.ones(len(keys), dtype=np.int32) if track else None
-        degraded = np.zeros(len(keys), dtype=bool) if track else None
-        logs = []
-        n_dev_batches = 0
-        queue = deque(batches)
-        while queue:
-            batch = queue.popleft()
-            def call(b=batch):
-                if self._delete_table is None:
-                    # share the updater's conflict table when sizes match:
-                    # batches run serially and both sides reset between
-                    # uses, so one allocation serves every write class
-                    shared = getattr(self._updater, "_table", None)
-                    if (shared is not None
-                            and shared.slots == self.hash_slots
-                            and shared.variant == self.hash_table):
-                        self._delete_table = shared
-                    else:
-                        self._delete_table = make_conflict_table(
-                            self.hash_slots, variant=self.hash_table
-                        )
-                return delete_batch(
-                    self.layout, b.keys_mat, b.key_lens,
-                    root_table=self.root_table, hash_slots=self.hash_slots,
-                    hash_table=self.hash_table, table=self._delete_table,
-                    metrics=self.metrics, injector=self._injector,
+        attempts, degraded = self._tracking(len(keys))
+        logs: list = []
+
+        def kernel(b, host=False):
+            if self._delete_table is None:
+                # share the updater's conflict table when sizes match:
+                # batches run serially and both sides reset between
+                # uses, so one allocation serves every write class
+                shared = getattr(
+                    self._kernels.get((UpdateEngine, False)), "_table", None
                 )
-            try:
-                res, att = self._device_batch(
-                    "delete", call, n=batch.size,
-                    h2d_bytes=batch.keys_mat.nbytes,
-                )
-            except HashTableFullError:
-                if self._dispatcher is None:
-                    raise
-                if batch.size > 1:
-                    queue.extendleft(reversed(split_batch(batch)))
-                    continue
-                if not self._dispatcher.policy.allow_degrade:
-                    raise
-                res, att = None, 0
-            if res is None:
-                self._dispatcher.note_degraded("delete")
-                self._degraded_delete_rows(batch, deleted)
-                degraded[batch.origin] = True
-                attempts[batch.origin] = att
-                continue
-            logs.append(res.log)
-            n_dev_batches += 1
+                if (shared is not None
+                        and shared.slots == self.hash_slots
+                        and shared.variant == self.hash_table):
+                    self._delete_table = shared
+                else:
+                    self._delete_table = make_conflict_table(
+                        self.hash_slots, variant=self.hash_table
+                    )
+            return delete_batch(
+                self.layout, b.keys_mat, b.key_lens,
+                root_table=self.root_table, hash_slots=self.hash_slots,
+                hash_table=self.hash_table, table=self._delete_table,
+                metrics=self.metrics,
+                injector=None if host else self._injector,
+            )
+
+        for batch, res, _ in self._write_batches(
+            "delete", kernel, batches, logs, attempts, degraded, 0
+        ):
             deleted[batch.origin] = res.deleted
-            if track:
-                attempts[batch.origin] = att
-        any_degraded = track and bool(degraded.any())
-        pending = self._mirror_pending
         cache = self.cache
-        if cache is None and not any_degraded and bool(deleted.all()):
-            pending.update(dict.fromkeys(keys))
-        else:
-            deg_list = degraded.tolist() if track else ((False,) * len(keys))
-            for pos, (k, hit) in enumerate(zip(keys, deleted.tolist())):
-                if hit and not deg_list[pos]:
-                    pending[k] = None
-                    if cache is not None:
-                        cache.update_if_cached(k, None)
-        if not any_degraded:
-            self.layout.mark_synced()
-        self._report("delete", len(keys), n_dev_batches, logs, width)
+        if cache is not None:
+            for k, hit in zip(keys, deleted.tolist()):
+                if hit:
+                    cache.update_if_cached(k, None)
+        self._report("delete", len(keys), len(logs), logs, width)
         self._refresh_device_gauges()
-        status = (
-            status_codes(deleted, attempts=attempts, degraded=degraded)
-            if track else None
-        )
         return BatchResult(
-            "delete", found=deleted, status=status, attempts=attempts
+            "delete", found=deleted, attempts=attempts,
+            status=self._status(deleted, attempts, degraded),
         )
 
     # -- persistence ---------------------------------------------------------
@@ -1320,22 +1200,15 @@ class CuartEngine(_EngineBase):
     def load(cls, path, **engine_kwargs) -> "CuartEngine":
         """Rebuild an engine from a saved layout.
 
-        The device buffers load directly (no mapping pass); the
-        authoritative host tree is reconstructed from the complete keys
-        the leaf buffers carry.  The compacted root table is *not*
-        persisted — pass ``root_table_depth`` and call
-        :meth:`map_to_device` to regain one (a fresh map), or run
-        without a table.
+        The device buffers load directly and are adopted as they are —
+        no populate, no mapping pass; a configured ``root_table_depth``
+        gets its compacted root table built over them.
         """
-        from repro.cuart.serialize import iter_layout_items, load_layout
+        from repro.cuart.serialize import load_layout
 
         layout = load_layout(path)
         engine = cls(long_keys=layout.long_keys, **engine_kwargs)
-        engine.populate(iter_layout_items(layout))
-        layout._source = engine.tree
-        layout._source_version = engine.tree.version
-        engine.layout = layout
-        engine.root_table = None
+        engine._adopt_layout(layout)
         return engine
 
     def range(self, lo: bytes, hi: bytes) -> list[tuple[bytes, int]]:
@@ -1364,7 +1237,34 @@ class GrtEngine(_EngineBase):
         self, config: Optional[EngineConfig] = None, **kwargs
     ) -> None:
         super().__init__(config, api="sync", **kwargs)
+        #: the host ART the GRT layout is mapped from.
+        self.tree = AdaptiveRadixTree()
         self.layout: Optional[GrtLayout] = None
+
+    def _populate(self, items: list) -> None:
+        """Empty trees take the vectorized bulk load (duplicate keys
+        collapse last-wins); anything it rejects falls back to per-item
+        inserts, which raise the canonical error."""
+        if items and len(self.tree) == 0:
+            try:
+                self.tree = bulk_load(*zip(*dict(items).items()))
+                return
+            except (ReproError, TypeError, ValueError):
+                pass
+        for k, v in items:
+            self.tree.insert(k, v)
+
+    def __len__(self) -> int:
+        return len(self.tree)
+
+    def items(self) -> list[tuple[bytes, int]]:
+        return list(self.tree.items())
+
+    def contains(self, key: bytes) -> bool:
+        return self.tree.search(key) is not None
+
+    def peek(self, keys: Sequence[bytes]) -> list[Optional[int]]:
+        return [self.tree.search(k) for k in keys]
 
     def map_to_device(self) -> None:
         self.layout = GrtLayout(self.tree)

@@ -199,9 +199,10 @@ class Memtable:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         contains = getattr(engine, "contains", None)
-        if contains is None:
+        if contains is None or getattr(engine, "peek", None) is None:
             raise ReproError(
-                "memtable requires an engine with a contains() probe"
+                "memtable requires an engine with contains() and peek() "
+                "probes"
             )
         self.engine = engine
         self.config = config if config is not None else MemtableConfig()
@@ -281,12 +282,7 @@ class Memtable:
     def base_read(self, key) -> tuple[bool, object]:
         """``(found, value)`` against the engine's *applied* state,
         bypassing the delta — what the device would answer now."""
-        tree = getattr(self.engine, "tree", None)
-        if tree is not None:
-            val = tree.search(key)
-            return (val is not None, val)
-        res = self.engine.lookup([key])
-        val = res[0]
+        val = self.engine.peek((key,))[0]
         return (val is not None, val)
 
     def pin(self) -> MemtableSnapshot:
@@ -427,31 +423,33 @@ class Memtable:
             fold.update(seg.ops)
 
         engine = self.engine
-        contains = engine.contains
         writer_seq = self._writer_seq
         updates: list = []
         inserts: list = []
         deletes: list = []
         retire: list = []
         superseded = 0
-        for key, (kind, value, seq) in fold.items():
+        for key in fold:
             if writer_seq.get(key, -1) > max_seq:
                 # the active segment already rewrote this key: the
                 # sealed op is dead, skip its device row entirely (it
                 # will fold into a later compaction) — but the entry
                 # stays pending, owned by the newer write
                 superseded += 1
-                continue
-            retire.append(key)
+            else:
+                retire.append(key)
+        # classification against the *applied* base decides the kernel
+        # class — update scatters in place (byte-identical to the serial
+        # history), insert claims a slot — read for the whole fold in one
+        # host-side pass over the layout (no device batch, no report)
+        base = dict(zip(retire, engine.peek(retire) if retire else ()))
+        for key in retire:
+            kind, value, seq = fold[key]
             if kind == "put":
-                # classification against the *applied* base decides the
-                # kernel class: update scatters in place (byte-identical
-                # to the serial history), insert claims a slot
-                if contains(key):
-                    updates.append((key, value, seq))
-                else:
-                    inserts.append((key, value, seq))
-            elif contains(key):
+                (updates if base[key] is not None else inserts).append(
+                    (key, value, seq)
+                )
+            elif base[key] is not None:
                 deletes.append((key, seq))
             # else: delete of a never-installed insert — fully cancelled
 
@@ -471,7 +469,7 @@ class Memtable:
                 pinned = snap.pinned
                 for key in install_keys:
                     if key not in pinned and key not in shield:
-                        shield[key] = self.base_read(key)
+                        shield[key] = (base[key] is not None, base[key])
 
         if dispatch is None:
             dispatch = self._default_dispatch

@@ -39,8 +39,8 @@ of the work cut the makespan by ~N.
 Online rebalancing (:meth:`ShardedEngine.rebalance`) drains in-flight
 ops, greedily re-assigns the hottest partitions (per-partition heat
 counters, :class:`ShardRouter`) to the least-loaded shards, migrates
-the affected subtrees through the serialize/re-map path (collect items
-from the source host trees, rebuild the affected shard layouts), and
+the affected subtrees through the re-map path (collect items from the
+source shards' device layouts, rebuild the affected shard layouts), and
 charges the simulated PCIe cost of moving the records.  Heat resets
 afterwards so the next skew episode is measured fresh.
 """
@@ -54,7 +54,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.art.tree import AdaptiveRadixTree
 from repro.constants import NIL_VALUE
 from repro.errors import ReproError, SimulationError
 from repro.gpusim.pcie import link_for_device
@@ -401,8 +400,8 @@ class ShardedEngine:
 
     # -- lifecycle -------------------------------------------------------
     def populate(self, items: Iterable[tuple[bytes, int]]) -> None:
-        """Route ``(key, value)`` pairs to their owning shards' host
-        trees (no heat recorded — placement, not traffic)."""
+        """Route ``(key, value)`` pairs to their owning shards (no heat
+        recorded — placement, not traffic)."""
         items = list(items)
         groups = self._route_groups(
             [k for k, _ in items], record=False
@@ -420,12 +419,22 @@ class ShardedEngine:
     def contains(self, key: bytes) -> bool:
         return self.shards[self.router.shard_of(key)].contains(key)
 
+    def peek(self, keys: Sequence[bytes]) -> list:
+        """Host-side values of ``keys``, one pass per owning shard (see
+        :meth:`CuartEngine.peek`)."""
+        out: list = [None] * len(keys)
+        for sid, idx in self._route_groups(keys, record=False):
+            idx = idx.tolist()
+            for j, v in zip(idx, self.shards[sid].peek([keys[j] for j in idx])):
+                out[j] = v
+        return out
+
     def items(self) -> list[tuple[bytes, int]]:
         """All ``(key, value)`` pairs across shards, in key order (the
         canonicalization surface the lockstep tests compare)."""
         out: list[tuple[bytes, int]] = []
         for shard in self.shards:
-            out.extend(shard.tree.items())
+            out.extend(shard.items())
         out.sort(key=itemgetter(0))
         return out
 
@@ -542,10 +551,10 @@ class ShardedEngine:
            migrations never interleave with serving.
         2. **Plan** — :meth:`ShardRouter.balanced_assignment` picks the
            minimal-churn move set from the heat counters.
-        3. **Migrate** — the affected shards' host trees are flushed,
-           their items re-routed under the new table, and each affected
-           shard is rebuilt through the serialize/re-map path (fresh
-           tree, bulk populate, ``map_to_device``).  The simulated PCIe
+        3. **Migrate** — the affected shards' items are read from their
+           layouts, re-routed under the new table, and each affected
+           shard is rebuilt through the re-map path (layout dropped,
+           bulk populate, ``map_to_device``).  The simulated PCIe
            cost of moving the records (device→host on the source, host→
            device on the destination) is charged and reported.
         4. **Reset** — heat counters clear so the next skew episode is
@@ -578,8 +587,7 @@ class ShardedEngine:
             moved_keys = 0
             migrated_bytes = 0
             for i in affected:
-                # reading .tree flushes the deferred write mirror first
-                for k, v in self.shards[i].tree.items():
+                for k, v in self.shards[i].items():
                     dst = int(new_assignment[partition_of(k)])
                     final[dst].append((k, v))
                     if dst != i:
@@ -588,7 +596,6 @@ class ShardedEngine:
             self.router.assignment = new_assignment
             for i in affected:
                 shard = self.shards[i]
-                shard.tree = AdaptiveRadixTree()
                 shard.layout = None
                 shard.root_table = None
                 shard.populate(final[i])

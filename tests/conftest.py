@@ -41,3 +41,36 @@ def medium_layout(medium_tree):
 
 def batch_of(keys, width=None):
     return keys_to_matrix(list(keys), width=width)
+
+
+def apply_op(model: dict, kind: str, payload) -> None:
+    """One stream op on a plain dict: updates and deletes of absent keys
+    are no-ops, inserts upsert, reads change nothing."""
+    if kind == "update":
+        if payload[0] in model:
+            model[payload[0]] = payload[1]
+    elif kind == "delete":
+        model.pop(payload, None)
+    elif kind == "insert":
+        model[payload[0]] = payload[1]
+
+
+def replay_on_dict(initial, stream) -> dict:
+    """The independent oracle: a mixed stream applied to a plain dict."""
+    model = dict(initial)
+    for kind, payload in stream:
+        apply_op(model, kind, payload)
+    return model
+
+
+def assert_device_matches(eng, model: dict, probes=()) -> None:
+    """Read the device, never the engine's own bookkeeping: every layout
+    passes its structural check, and a device lookup of every model key
+    (plus ``probes``, e.g. deleted keys) equals the dict."""
+    shards = getattr(eng, "shards", None) or [eng]
+    for shard in shards:
+        assert shard.layout.verify() == []
+    keys = sorted(set(model) | set(probes))
+    assert list(eng.lookup(keys)) == [model.get(k) for k in keys], (
+        "device lookups diverged from the dict oracle"
+    )

@@ -29,6 +29,33 @@ def lookup_values(layout, keys, table=None):
     return lookup_batch(layout, mat, lens, root_table=table).values
 
 
+class TestDedupAccounting:
+    """Only same-key losers are dedup losers; distinct keys racing for
+    one slot are structural retries, counted as deferred."""
+
+    def _run(self, keys):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        lay = CuartLayout(make_tree([(b"aaaa", 1), (b"bbbb", 2)]), spare=1.0)
+        eng = InsertEngine(lay, hash_slots=1 << 10, metrics=metrics)
+        mat, lens = keys_to_matrix(keys)
+        res = eng.apply(mat, lens, np.arange(3, 3 + len(keys), dtype=np.uint64))
+        return res, metrics
+
+    def test_slot_race_is_deferred_not_dedup(self):
+        # both keys stop at the root on byte "c": one claim, two keys
+        res, metrics = self._run([b"cccx", b"cccy"])
+        assert res.n_inserted == 1 and res.n_deferred == 1
+        assert metrics.value("write_dedup_losers_total", op="insert") == 0
+        assert metrics.value("insert_deferred_total") == 1
+
+    def test_same_key_duplicate_is_a_dedup_loser(self):
+        res, metrics = self._run([b"cccx", b"cccx"])
+        assert res.n_inserted == 1
+        assert metrics.value("write_dedup_losers_total", op="insert") == 1
+
+
 class TestSimpleInserts:
     def test_insert_into_empty_slot(self):
         t = make_tree([(b"\x01\x01", 1), (b"\x02\x02", 2)])

@@ -87,18 +87,20 @@ class TestMappingBasics:
         assert medium_layout.device_bytes() > 0
         assert medium_layout.device_bytes() % 16 == 0
 
-    def test_node_links_recorded_for_every_node(self, medium_tree):
+    def test_every_node_mapped_once(self, medium_tree):
         lay = CuartLayout(medium_tree)
-        # every (inner or leaf) host node has a device link
+        # every (inner or leaf) host node has exactly one device record,
+        # each reached exactly once from the root
         count = 0
         stack = [medium_tree.root]
         while stack:
             node = stack.pop()
-            assert id(node) in lay.node_links
             count += 1
             if hasattr(node, "children_items"):
                 stack.extend(c for _, c in node.children_items())
-        assert count == len(lay.node_links)
+        pop = lay.live_populations()
+        assert count == sum(pop["nodes"].values()) + sum(pop["leaves"].values())
+        assert lay.verify() == []
 
     def test_max_levels_tracked(self, medium_layout):
         assert medium_layout.max_levels >= 2

@@ -20,7 +20,7 @@ from repro.host.resilience import ResiliencePolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import dense_keys
-from tests.conftest import int_keys
+from tests.conftest import assert_device_matches, int_keys, replay_on_dict
 
 N_OPS = 20_000
 N_KEYS = 1_500
@@ -40,6 +40,13 @@ def _run(variant, *, faults=None, resilience=None):
 
 
 def _assert_saved_layouts_identical(eng_a, eng_b, tmp_path):
+    keys = dense_keys(N_KEYS)
+    model = replay_on_dict(
+        [(k, i) for i, k in enumerate(keys)],
+        mixed_queries(keys, N_OPS, QueryMix(), seed=11),
+    )
+    assert_device_matches(eng_a, model, probes=keys)
+    assert_device_matches(eng_b, model, probes=keys)
     eng_a.map_to_device()
     eng_b.map_to_device()
     pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -70,7 +77,7 @@ class TestMixedStreamLockstep:
 
     def test_layouts_byte_identical(self, pair, tmp_path):
         (lin_eng, _, _), (buc_eng, _, _) = pair
-        assert list(lin_eng.tree.items()) == list(buc_eng.tree.items())
+        assert lin_eng.items() == buc_eng.items()
         _assert_saved_layouts_identical(lin_eng, buc_eng, tmp_path)
 
 

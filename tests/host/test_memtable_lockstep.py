@@ -36,6 +36,7 @@ from repro.host.sharding import (
 )
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import random_keys
+from tests.conftest import assert_device_matches, replay_on_dict
 from tests.cuart.test_write_path_lockstep import _assert_layouts_equal
 
 SEEDS = [3, 17, 91]
@@ -72,8 +73,7 @@ def _scalar_oracle(eng: CuartEngine, stream) -> list:
 
 def _canonical_engine(eng) -> CuartEngine:
     canon = CuartEngine(batch_size=64)
-    items = eng.items() if hasattr(eng, "items") else eng.tree.items()
-    canon.populate(sorted(items))
+    canon.populate(eng.items())
     canon.map_to_device()
     return canon
 
@@ -97,6 +97,9 @@ def _assert_lockstep(keys, stream, *, config=RACY, tmp_path=None):
         assert a.read_bytes() == b.read_bytes(), (
             "serialized layouts are not byte-identical"
         )
+    model = replay_on_dict([(k, i + 1) for i, k in enumerate(keys)], stream)
+    assert_device_matches(absorbed, model, probes=keys)
+    assert_device_matches(scalar, model, probes=keys)
     return ex, report
 
 
@@ -186,6 +189,10 @@ class TestMemtableLockstep:
         save_layout(ca.layout, pa)
         save_layout(cb.layout, pb)
         assert pa.read_bytes() == pb.read_bytes()
+        model = replay_on_dict([(k, i + 1) for i, k in enumerate(keys)],
+                               stream)
+        assert_device_matches(absorbed, model, probes=keys)
+        assert_device_matches(scalar, model, probes=keys)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_duplicate_key_bursts(self, seed, tmp_path):
@@ -373,4 +380,7 @@ class TestShardedMemtable:
         save_layout(ca.layout, pa)
         save_layout(cb.layout, pb)
         assert pa.read_bytes() == pb.read_bytes()
+        model = replay_on_dict(items, stream)
+        assert_device_matches(sharded, model, probes=keys)
+        assert_device_matches(single, model, probes=keys)
         assert sum(rep.absorbed.values()) > 0

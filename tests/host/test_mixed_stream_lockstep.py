@@ -22,6 +22,7 @@ from repro.host.engine import CuartEngine
 from repro.host.mixed import MixedWorkloadExecutor
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import random_keys
+from tests.conftest import assert_device_matches, replay_on_dict
 from tests.cuart.test_write_path_lockstep import _assert_layouts_equal
 
 SEEDS = [3, 17, 91]
@@ -67,6 +68,9 @@ def _assert_lockstep(keys, stream, *, batch_size=16, tmp_path=None):
         assert a.read_bytes() == b.read_bytes(), (
             "serialized layouts are not byte-identical"
         )
+    model = replay_on_dict([(k, i + 1) for i, k in enumerate(keys)], stream)
+    assert_device_matches(pipelined, model, probes=keys)
+    assert_device_matches(scalar, model, probes=keys)
     return report
 
 

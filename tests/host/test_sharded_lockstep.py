@@ -29,6 +29,7 @@ from repro.host.sharding import (
 )
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import random_keys
+from tests.conftest import assert_device_matches, replay_on_dict
 from tests.cuart.test_write_path_lockstep import _assert_layouts_equal
 
 SEEDS = [3, 17, 91]
@@ -61,8 +62,7 @@ def _canonical_engine(eng) -> CuartEngine:
     single engine: identical content => identical layout => identical
     bytes on disk (the canonicalization the rebalance path relies on)."""
     canon = CuartEngine(batch_size=64)
-    items = eng.items() if hasattr(eng, "items") else eng.tree.items()
-    canon.populate(sorted(items))
+    canon.populate(eng.items())
     canon.map_to_device()
     return canon
 
@@ -85,6 +85,9 @@ def _run_pair(keys, stream, n_shards, *, tmp_path):
     want, _ = MixedWorkloadExecutor(single).run(stream)
     assert got == want, "per-op results diverged from single-engine oracle"
     _assert_canonical_bytes_identical(sharded, single, tmp_path)
+    model = replay_on_dict(_items(keys), stream)
+    assert_device_matches(sharded, model, probes=keys)
+    assert_device_matches(single, model, probes=keys)
     return sharded, rep
 
 
@@ -198,6 +201,9 @@ class TestFaultSoak:
         assert rep.ops_by_status.get("FAILED", 0) == 0
         assert got == want
         _assert_canonical_bytes_identical(faulty, oracle, tmp_path)
+        model = replay_on_dict(_items(keys), stream)
+        assert_device_matches(faulty, model, probes=keys)
+        assert_device_matches(oracle, model, probes=keys)
 
 
 class TestSingleShardDegenerate:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.constants import MAX_SHORT_KEY, NIL_VALUE
-from repro.cuart.layout import LongKeyStrategy
+from repro.cuart.layout import CuartLayout, LongKeyStrategy
+from repro.cuart.lookup import lookup_batch
 from repro.errors import (
     HashTableFullError,
     KeyEncodingError,
@@ -23,7 +24,8 @@ from repro.errors import (
 from repro.gpusim.faults import FaultConfig
 from repro.host.config import EngineConfig
 from repro.host.engine import CuartEngine
-from tests.conftest import int_keys
+from repro.util.keys import keys_to_matrix
+from tests.conftest import int_keys, make_tree
 
 
 def _mapped_engine(n=32, **kwargs):
@@ -51,14 +53,18 @@ class TestKeyTooLong:
 
 class TestStaleLayout:
     def test_versions_in_context(self):
-        eng, keys = _mapped_engine()
-        mapped_version = eng.tree.version
-        eng.tree.insert(int_keys([10_000])[0], 1)  # behind the engine's back
+        # the engine keeps no host tree, so staleness-by-version lives on
+        # a layout mapped from a tree that then changes behind its back
+        keys = int_keys(range(32))
+        tree = make_tree((k, i) for i, k in enumerate(keys))
+        layout = CuartLayout(tree)
+        mapped_version = tree.version
+        tree.insert(int_keys([10_000])[0], 1)
         with pytest.raises(StaleLayoutError) as ei:
-            eng.lookup(keys[:4])
+            lookup_batch(layout, *keys_to_matrix(keys[:4]))
         ctx = ei.value.context
         assert ctx["mapped_version"] == mapped_version
-        assert ctx["tree_version"] == eng.tree.version
+        assert ctx["tree_version"] == tree.version
         assert ctx["tree_version"] > ctx["mapped_version"]
         assert ei.value.transient is False
 

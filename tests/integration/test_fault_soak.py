@@ -21,6 +21,7 @@ from repro.host.mixed import MixedWorkloadExecutor
 from repro.host.resilience import ResiliencePolicy
 from repro.workloads.queries import QueryMix, mixed_queries
 from repro.workloads.synthetic import dense_keys
+from tests.conftest import assert_device_matches, replay_on_dict
 
 N_OPS = 50_000
 N_KEYS = 2_000
@@ -72,11 +73,21 @@ def test_soak_hit_accounting_matches_oracle(soak):
     assert faulty.delete_misses == oracle.delete_misses
 
 
+def test_soak_device_matches_dict_oracle(soak):
+    keys = dense_keys(N_KEYS)
+    stream = mixed_queries(keys, N_OPS, QueryMix(), seed=7)
+    model = replay_on_dict([(k, i) for i, k in enumerate(keys)], stream)
+    for eng, _, _ in soak:
+        assert_device_matches(eng, model, probes=keys)
+
+
 def test_soak_tree_is_byte_identical_to_oracle(soak, tmp_path):
     (faulty_eng, _, _), (oracle_eng, _, _) = soak
-    assert len(faulty_eng.tree) == len(oracle_eng.tree)
-    assert list(faulty_eng.tree.items()) == list(oracle_eng.tree.items())
-    # strongest form: re-map both trees and compare the serialized
+    assert len(faulty_eng) == len(oracle_eng)
+    assert faulty_eng.items() == oracle_eng.items()
+    assert faulty_eng.layout.verify() == []
+    assert oracle_eng.layout.verify() == []
+    # strongest form: re-map both layouts and compare the serialized
     # device buffers array for array
     faulty_eng.map_to_device()
     oracle_eng.map_to_device()
@@ -132,8 +143,9 @@ def test_memtable_soak_matches_fault_free_oracle(tmp_path):
     assert faulty_eng._injector.total_injected > 0
     assert faulty_rep.ops_by_status.get("FAILED", 0) == 0
     assert faulty_res == oracle_res
-    assert (sorted(faulty_eng.tree.items())
-            == sorted(oracle_eng.tree.items()))
+    assert faulty_eng.items() == oracle_eng.items()
+    assert faulty_eng.layout.verify() == []
+    assert oracle_eng.layout.verify() == []
 
 
 def test_open_circuit_write_burst_replays_exactly_once():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.art.verify import verify_tree
 from repro.constants import NIL_VALUE
 from repro.cuart.layout import CuartLayout
 from repro.cuart.lookup import lookup_batch
@@ -74,8 +73,8 @@ class TestEngineLifecycle:
         probe = list(model) + dels
         got = eng.lookup(probe)
         assert got == [model.get(k) for k in probe]
-        # host tree structurally sound
-        assert verify_tree(eng.tree) == []
+        # device layout structurally sound
+        assert eng.layout.verify() == []
         # a final remap preserves content exactly
         eng.map_to_device()
         got2 = eng.lookup(probe)
@@ -88,7 +87,7 @@ class TestEngineLifecycle:
         eng.map_to_device()
         stream = mixed_queries(keys, 600, QueryMix(), seed=96)
         MixedWorkloadExecutor(eng).run(stream)
-        assert verify_tree(eng.tree) == []
+        assert eng.layout.verify() == []
         # engine still serves correct answers for survivors
         deleted = {p for kind, p in stream if kind == "delete"}
         survivors = [k for k in keys if k not in deleted][:100]

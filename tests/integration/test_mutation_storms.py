@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.art.verify import verify_tree
 from repro.constants import NIL_VALUE
 from repro.cuart.delete import delete_batch
 from repro.cuart.insert import InsertEngine
@@ -120,6 +119,6 @@ def test_engine_storm_against_model(seed, rounds):
                 eng.insert([(fresh, 99)])
                 model[fresh] = 99
                 pool.append(fresh)
-        assert verify_tree(eng.tree) == []
+        assert eng.layout.verify() == []
     probes = sorted(set(pool))
     assert eng.lookup(probes) == [model.get(k) for k in probes]
